@@ -710,7 +710,7 @@ let e8 () =
 (* JSON artifacts: machine-readable per-scenario summaries, one        *)
 (* BENCH_<scenario>.json each, for CI trend tracking.                  *)
 
-let json () =
+let json_summaries () =
   Report.header "JSON artifacts (BENCH_<scenario>.json)";
   let num v = if Float.is_finite v then Printf.sprintf "%.3f" v else "null" in
   let stage name (s : Repro_obs.Histogram.snapshot) =
@@ -758,11 +758,11 @@ let json () =
             Printf.sprintf "\"ladder\":{%s}"
               (String.concat ","
                  [
-                   stage "queue" ladder.Repro_obs.Lifecycle.queue;
-                   stage "accept" ladder.Repro_obs.Lifecycle.accept;
-                   stage "preack" ladder.Repro_obs.Lifecycle.preack;
-                   stage "ack" ladder.Repro_obs.Lifecycle.ack;
-                   stage "deliver" ladder.Repro_obs.Lifecycle.deliver;
+                   stage "queue" ladder.Repro_obs.Trace_ctx.queue;
+                   stage "accept" ladder.Repro_obs.Trace_ctx.accept;
+                   stage "preack" ladder.Repro_obs.Trace_ctx.preack;
+                   stage "ack" ladder.Repro_obs.Trace_ctx.ack;
+                   stage "deliver" ladder.Repro_obs.Trace_ctx.deliver;
                  ]);
             Printf.sprintf "\"metrics\":%s"
               (Metrics.to_json o.Experiment.metrics);
@@ -817,7 +817,7 @@ let loss_sweep () =
           | Some l -> l
           | None -> assert false (* instrumented run *)
         in
-        let deliver = ladder.Repro_obs.Lifecycle.deliver in
+        let deliver = ladder.Repro_obs.Trace_ctx.deliver in
         let p99_us = Repro_obs.Histogram.percentile deliver 99. in
         let goodput = Experiment.goodput o in
         Table.add_row table
@@ -1149,7 +1149,7 @@ let pac () =
    tracks, so the throughput scenario (smoke depth) and the PAC sweep
    ride along with the simulator-driven summaries. *)
 let json () =
-  json ();
+  json_summaries ();
   throughput_smoke ();
   pac ()
 

@@ -21,7 +21,6 @@ module Stats = Repro_util.Stats
 module Table = Repro_util.Table
 module Registry = Repro_obs.Registry
 module Exporter = Repro_obs.Exporter
-module Lifecycle = Repro_obs.Lifecycle
 open Cmdliner
 
 let make_workload ~kind ~n ~per_entity ~interval_ms ~duration_ms ~seed =
@@ -71,8 +70,8 @@ let arm_snapshots ~interval_ms ~workload ~table ~series cluster =
     Cluster.sync_metrics cluster;
     let m = Cluster.aggregate_metrics cluster in
     let open_spans =
-      match Cluster.lifecycle cluster with
-      | Some lc -> Lifecycle.open_spans lc
+      match Cluster.recorder cluster with
+      | Some r -> Repro_obs.Trace_ctx.open_spans r
       | None -> 0
     in
     Table.add_row table
@@ -150,8 +149,8 @@ let run_cmd n per_entity interval_ms duration_ms loss seed window defer_ms
   (match trace_out with
   | Some file when perfetto_target trace_out ->
     let spans =
-      match Cluster.tracer cluster with
-      | Some tr -> Repro_obs.Trace_ctx.spans tr
+      match Cluster.recorder cluster with
+      | Some r -> Repro_obs.Trace_ctx.spans r
       | None -> []
     in
     let oc = open_out file in

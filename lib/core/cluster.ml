@@ -4,7 +4,6 @@ module Network = Repro_sim.Network
 module Simtime = Repro_sim.Simtime
 module Topology = Repro_sim.Topology
 module Trace = Repro_sim.Trace
-module Lifecycle = Repro_obs.Lifecycle
 module Registry = Repro_obs.Registry
 module Trace_ctx = Repro_obs.Trace_ctx
 
@@ -48,8 +47,7 @@ type t = {
   deliver_ms : Repro_util.Stats.Acc.t;
   causality : Repro_clock.Causality.t;
   rev_data_keys : (int * int) list ref; (* data PDUs, newest first *)
-  lifecycle : Lifecycle.t option;
-  tracer : Trace_ctx.t option;
+  recorder : Trace_ctx.t option;
   (* Crash-stop support. [down.(i)] silences entity [i]: its receive handler
      discards, scheduled submissions are skipped, and every timer armed by
      any incarnation checks both flags before firing — a timer armed before
@@ -82,12 +80,14 @@ let create (config : config) =
   let deliver_ms = Repro_util.Stats.Acc.create () in
   let causality = Repro_clock.Causality.create ~n:config.n in
   let rev_data_keys = ref [] in
-  let lifecycle =
-    Option.map (fun reg -> Lifecycle.create ~registry:reg ()) config.instrument
-  in
-  let tracer =
+  let salt =
     if config.protocol.Config.tracing then
-      Some (Trace_ctx.create ~salt:(Trace_ctx.salt_of_seed ~seed:config.seed) ())
+      Some (Trace_ctx.salt_of_seed ~seed:config.seed)
+    else None
+  in
+  let recorder =
+    if Option.is_some config.instrument || Option.is_some salt then
+      Some (Trace_ctx.create ?registry:config.instrument ?salt ())
     else None
   in
   let down = Array.make config.n false in
@@ -101,11 +101,10 @@ let create (config : config) =
      the trace extension — the round-trip then also proves traced frames
      decode to the same PDUs the protocol handed in. *)
   let frame =
-    match (config.protocol.Config.wire, tracer) with
+    match (config.protocol.Config.wire, salt) with
     | Config.V1, _ -> Codec.encode
     | Config.V2, None -> Codec.encode_v2
-    | Config.V2, Some tr -> (
-      let salt = Trace_ctx.salt tr in
+    | Config.V2, Some salt -> (
       fun pdu ->
         match pdu with
         | Pdu.Data d ->
@@ -198,101 +197,13 @@ let create (config : config) =
             | Entity.Preacknowledged d -> latency d preack_ms
             | Entity.Acknowledged d -> latency d ack_ms
             | Entity.Gap_detected _ | Entity.Ret_answered _ -> ());
-        (* One probe serves both consumers: the lifecycle tracker (present
-           iff instrumented) and the trace recorder (present iff tracing).
-           Either alone installs the probe; with neither the sites stay on
-           the free no-probe path. *)
-        (if Option.is_some lifecycle || Option.is_some tracer then begin
-           let now () = Engine.now engine in
-           let received =
-             Option.map
-               (fun reg ->
-                 Registry.counter reg
-                   ~help:
-                     "Data PDUs received, including duplicates and \
-                      out-of-order"
-                   ~name:"co_pdus_received_total"
-                   [ ("entity", string_of_int id) ])
-               config.instrument
-           in
-           let backoff_h =
-             Option.map
-               (fun reg ->
-                 Registry.histogram reg
-                   ~help:
-                     "RET retry delay after each backoff step, microseconds"
-                   ~name:"co_ret_backoff_us"
-                   [ ("entity", string_of_int id) ])
-               config.instrument
-           in
-           let lc f = match lifecycle with Some l -> f l | None -> () in
-           let tr f = match tracer with Some t -> f t | None -> () in
-           let is_data d = not (Pdu.is_confirmation d) in
-           Entity.set_probe entity
-             {
-               Entity.on_submit =
-                 (fun () -> lc (fun l -> Lifecycle.submit l ~src:id ~now:(now ())));
-               on_transmit =
-                 (fun d ->
-                   lc (fun l ->
-                       Lifecycle.first_send l ~src:d.src ~seq:d.seq
-                         ~data:(is_data d) ~now:(now ()));
-                   if is_data d then
-                     tr (fun t ->
-                         Trace_ctx.on_send t ~src:d.src ~seq:d.seq
-                           ~now:(now ())));
-               on_receive =
-                 (fun d ->
-                   (match received with Some c -> Registry.inc c | None -> ());
-                   if is_data d then
-                     tr (fun t ->
-                         Trace_ctx.on_receive t ~entity:id ~src:d.src
-                           ~seq:d.seq ~now:(now ())));
-               on_park =
-                 (fun d ->
-                   if is_data d then
-                     tr (fun t ->
-                         Trace_ctx.on_park t ~entity:id ~src:d.src ~seq:d.seq));
-               on_accept =
-                 (fun d ->
-                   lc (fun l ->
-                       Lifecycle.accept l ~entity:id ~src:d.src ~seq:d.seq
-                         ~data:(is_data d) ~now:(now ()));
-                   if is_data d then
-                     tr (fun t ->
-                         Trace_ctx.on_accept t ~entity:id ~src:d.src
-                           ~seq:d.seq ~now:(now ())));
-               on_preack =
-                 (fun d ->
-                   lc (fun l ->
-                       Lifecycle.preack l ~entity:id ~src:d.src ~seq:d.seq
-                         ~data:(is_data d) ~now:(now ()));
-                   if is_data d then
-                     tr (fun t ->
-                         Trace_ctx.on_preack t ~entity:id ~src:d.src
-                           ~seq:d.seq ~now:(now ())));
-               on_ack =
-                 (fun d ->
-                   lc (fun l ->
-                       Lifecycle.ack l ~entity:id ~src:d.src ~seq:d.seq
-                         ~data:(is_data d) ~now:(now ())));
-               on_deliver =
-                 (fun d ->
-                   lc (fun l ->
-                       Lifecycle.deliver l ~entity:id ~src:d.src ~seq:d.seq
-                         ~now:(now ()));
-                   tr (fun t ->
-                       Trace_ctx.on_deliver t ~entity:id ~src:d.src ~seq:d.seq
-                         ~now:(now ())));
-               on_deliver_batch =
-                 (fun size -> lc (fun l -> Lifecycle.deliver_batch l ~size));
-               on_ret_backoff =
-                 (fun delay ->
-                   match backoff_h with
-                   | Some h -> Registry.observe h delay
-                   | None -> ());
-             }
-         end);
+        (match recorder with
+        | Some r ->
+          Entity.set_probe entity
+            (Probe.of_recorder r ~entity:id ~incarnation:incarnation.(id)
+               ~now:(fun () -> Engine.now engine)
+               ())
+        | None -> ());
         entity
   in
   let entities = Array.init config.n (build_entity None) in
@@ -315,8 +226,7 @@ let create (config : config) =
     deliver_ms;
     causality;
     rev_data_keys;
-    lifecycle;
-    tracer;
+    recorder;
     down;
     incarnation;
     checkpoints = Array.make config.n None;
@@ -352,12 +262,8 @@ let crash t ~id =
   (* Open telemetry spans die with the incarnation: abandon them (tagged
      with the incarnation that was running) so post-restart ladder stamps
      can never stitch onto pre-crash spans. *)
-  (match t.lifecycle with
-  | Some lc ->
-    Lifecycle.abandon_entity lc ~entity:id ~incarnation:t.incarnation.(id)
-  | None -> ());
-  (match t.tracer with
-  | Some tr -> Trace_ctx.abandon_entity tr ~entity:id
+  (match t.recorder with
+  | Some r -> Trace_ctx.abandon_entity r ~entity:id ~incarnation:t.incarnation.(id)
   | None -> ());
   t.down.(id) <- true;
   t.incarnation.(id) <- t.incarnation.(id) + 1;
@@ -370,11 +276,6 @@ let restart t ~id =
   if not t.down.(id) then invalid_arg "Cluster.restart: entity is not down";
   t.incarnation.(id) <- t.incarnation.(id) + 1;
   t.down.(id) <- false;
-  (* Keep the recorder's incarnation counter in lockstep with the
-     cluster's (both crash and restart bump it). *)
-  (match t.tracer with
-  | Some tr -> Trace_ctx.abandon_entity tr ~entity:id
-  | None -> ());
   let entity = t.rebuild id t.checkpoints.(id) in
   t.entities.(id) <- entity;
   Trace.record (Network.trace t.net)
@@ -398,8 +299,7 @@ let aggregate_metrics t =
   acc
 
 let entity_metrics t i = Entity.metrics t.entities.(i)
-let lifecycle t = t.lifecycle
-let tracer t = t.tracer
+let recorder t = t.recorder
 let registry t = t.config.instrument
 
 let sync_metrics t =

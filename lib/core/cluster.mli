@@ -17,11 +17,13 @@ type config = {
   seed : int;
   instrument : Repro_obs.Registry.t option;
       (** When set, the cluster registers receipt-ladder telemetry here:
-          per-entity probes feed a {!Repro_obs.Lifecycle.t}
-          ([co_ladder_stage_seconds], [co_submit_queue_seconds]) plus
-          per-entity [co_pdus_received_total]; {!sync_metrics} mirrors the
-          protocol counters. [None] (the default) installs no probes and
-          costs nothing on the hot paths. *)
+          per-entity {!Probe} wiring feeds the {!recorder}'s histograms
+          ([co_ladder_stage_seconds], [co_submit_queue_seconds],
+          [co_deliver_batch_size]) plus per-entity
+          [co_pdus_received_total] and [co_ret_backoff_us];
+          {!sync_metrics} mirrors the protocol counters. With [None] (the
+          default) and tracing off no probe is installed, which costs
+          nothing on the hot paths. *)
 }
 
 val default_service_time : n:int -> Repro_pdu.Pdu.t -> Repro_sim.Simtime.t
@@ -104,13 +106,14 @@ val ack_latencies : t -> float list
 val aggregate_metrics : t -> Metrics.t
 val entity_metrics : t -> int -> Metrics.t
 
-val lifecycle : t -> Repro_obs.Lifecycle.t option
-(** The per-PDU lifecycle tracker, present iff [config.instrument] was. *)
-
-val tracer : t -> Repro_obs.Trace_ctx.t option
-(** The causal-trace recorder, present iff [config.protocol.tracing];
-    its salt is derived from [config.seed]. Feed its spans to
-    {!Repro_obs.Critpath} for delay attribution and Perfetto export. *)
+val recorder : t -> Repro_obs.Trace_ctx.t option
+(** The receipt-ladder recorder, present iff [config.instrument] is set or
+    [config.protocol.tracing] is on. It records histograms into
+    [config.instrument] when set, and keeps completed spans (trace ids
+    salted from [config.seed]) when tracing — feed those to
+    {!Repro_obs.Critpath} for delay attribution and Perfetto export.
+    Its span discipline (opened/closed/open spans, close and order
+    errors, crash abandonment) is kept either way. *)
 
 val registry : t -> Repro_obs.Registry.t option
 (** [config.instrument], for convenience. *)

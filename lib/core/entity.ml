@@ -649,7 +649,7 @@ let ack_scan t =
         t.undelivered <- t.undelivered - 1;
         t.metrics.delivered <- t.metrics.delivered + 1;
         (* Delivery is part of the acknowledgment action, so the deliver
-           stamp fires while the lifecycle span is still open. *)
+           stamp fires while the receipt-ladder span is still open. *)
         (match t.probe with None -> () | Some pr -> pr.on_deliver p);
         t.actions.deliver p
       end;

@@ -143,19 +143,18 @@ let run ?(n = 4) ?(seed = 1) ?(per_entity = 6)
   in
   let lint_issues = Trace_lint.lint_trace ~n (Cluster.trace cluster) in
   let ret_retries = (Cluster.aggregate_metrics cluster).ret_retries in
+  let recorder = Cluster.recorder cluster in
   let delay_attribution =
-    match Cluster.tracer cluster with
-    | None -> None
-    | Some tr ->
+    match recorder with
+    | Some r when tracing ->
       (* Aggregate into the registry too, so chaos telemetry exposes the
          same co_delay_attrib_us families a production scrape would. *)
-      Repro_obs.Critpath.to_registry reg (Repro_obs.Trace_ctx.spans tr);
-      Some (Repro_obs.Critpath.of_recorder tr)
+      Repro_obs.Critpath.to_registry reg (Repro_obs.Trace_ctx.spans r);
+      Some (Repro_obs.Critpath.of_recorder r)
+    | Some _ | None -> None
   in
   let spans_abandoned =
-    match Cluster.lifecycle cluster with
-    | None -> 0
-    | Some lc -> Repro_obs.Lifecycle.spans_abandoned lc
+    match recorder with None -> 0 | Some r -> Repro_obs.Trace_ctx.abandoned r
   in
   {
     plan = plan.name;

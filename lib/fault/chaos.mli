@@ -45,7 +45,7 @@ type outcome = {
           was traced. Crashed entities contribute to its [abandoned]
           count; spans never stitch across an entity's incarnations. *)
   spans_abandoned : int;
-      (** Lifecycle spans cut short by entity crashes
+      (** Receipt-ladder spans cut short by entity crashes
           ([co_spans_abandoned_total] over the run). *)
   ok : bool;  (** The full verdict above. *)
 }

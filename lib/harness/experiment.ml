@@ -16,7 +16,7 @@ type outcome = {
   losses : int;
   sim_end_ms : float;
   events : int;
-  ladder : Repro_obs.Lifecycle.ladder option;
+  ladder : Repro_obs.Trace_ctx.ladder option;
   attribution : Repro_obs.Critpath.summary option;
 }
 
@@ -52,16 +52,16 @@ let run ?(max_events = 20_000_000) ?registry ?on_cluster ~config ~workload ()
       losses = Network.losses (Cluster.network cluster);
       sim_end_ms = Repro_sim.Simtime.to_ms (Engine.now (Cluster.engine cluster));
       events = Engine.processed (Cluster.engine cluster);
-      ladder = Option.map Repro_obs.Lifecycle.ladder (Cluster.lifecycle cluster);
+      ladder = Option.bind (Cluster.recorder cluster) Repro_obs.Trace_ctx.ladder;
       attribution =
-        Option.map
-          (fun tr ->
-            (match Cluster.registry cluster with
-            | Some reg ->
-              Repro_obs.Critpath.to_registry reg (Repro_obs.Trace_ctx.spans tr)
-            | None -> ());
-            Repro_obs.Critpath.of_recorder tr)
-          (Cluster.tracer cluster);
+        (match Cluster.recorder cluster with
+        | Some r when config.Cluster.protocol.Repro_core.Config.tracing ->
+          (match Cluster.registry cluster with
+          | Some reg ->
+            Repro_obs.Critpath.to_registry reg (Repro_obs.Trace_ctx.spans r)
+          | None -> ());
+          Some (Repro_obs.Critpath.of_recorder r)
+        | Some _ | None -> None);
     }
   in
   (cluster, outcome)

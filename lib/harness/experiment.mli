@@ -14,7 +14,7 @@ type outcome = {
   losses : int;  (** Copies lost (all reasons). *)
   sim_end_ms : float;  (** Virtual time when the run went quiescent. *)
   events : int;  (** Engine events executed. *)
-  ladder : Repro_obs.Lifecycle.ladder option;
+  ladder : Repro_obs.Trace_ctx.ladder option;
       (** Receipt-ladder latency snapshots (µs), present iff the run was
           instrumented. *)
   attribution : Repro_obs.Critpath.summary option;

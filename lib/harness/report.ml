@@ -26,7 +26,7 @@ let para s = Printf.printf "%s\n\n" s
 [@@coaudit.allow "harness report renderer: stdout is this module's contract"]
 
 let ladder_table ?(title = "Receipt ladder (first send -> stage)")
-    (ladder : Repro_obs.Lifecycle.ladder) =
+    (ladder : Repro_obs.Trace_ctx.ladder) =
   let tbl =
     Table.create ~title
       ~columns:
@@ -56,12 +56,12 @@ let ladder_table ?(title = "Receipt ladder (first send -> stage)")
         q s 99.;
       ]
   in
-  row "submit queue" ladder.Repro_obs.Lifecycle.queue;
+  row "submit queue" ladder.Repro_obs.Trace_ctx.queue;
   Table.add_rule tbl;
-  row "accept" ladder.Repro_obs.Lifecycle.accept;
-  row "preack" ladder.Repro_obs.Lifecycle.preack;
-  row "ack" ladder.Repro_obs.Lifecycle.ack;
-  row "deliver" ladder.Repro_obs.Lifecycle.deliver;
+  row "accept" ladder.Repro_obs.Trace_ctx.accept;
+  row "preack" ladder.Repro_obs.Trace_ctx.preack;
+  row "ack" ladder.Repro_obs.Trace_ctx.ack;
+  row "deliver" ladder.Repro_obs.Trace_ctx.deliver;
   tbl
 
 let pac_table ?(title = "PAC delivery probability by deadline")

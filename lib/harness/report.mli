@@ -15,7 +15,7 @@ val para : string -> unit
 (** Print a paragraph followed by a blank line. *)
 
 val ladder_table :
-  ?title:string -> Repro_obs.Lifecycle.ladder -> Repro_util.Table.t
+  ?title:string -> Repro_obs.Trace_ctx.ladder -> Repro_util.Table.t
 (** Render the receipt-ladder latency snapshots as a table: one row per
     stage (submit queue, then accept / preack / ack / deliver) with sample
     count, mean and p50/p90/p99 in milliseconds (quantiles are log₂-bucket

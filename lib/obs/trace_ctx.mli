@@ -1,4 +1,5 @@
-(** Per-PDU trace contexts and the causal-trace recorder (DESIGN.md §15).
+(** Per-PDU trace contexts and the receipt-ladder recorder (DESIGN.md §10,
+    §15).
 
     A {e trace context} identifies one sequenced data PDU across the whole
     cluster: the origin entity, the origin sequence number, and a 64-bit
@@ -9,18 +10,33 @@
     extension ({!Repro_pdu.Codec.encode_traced}); it is what lets a
     Perfetto capture from one node be joined against another node's.
 
-    The {e recorder} is the run-side collector: the cluster's entity
-    probes stamp it at first send, first receive, park (out-of-sequence
-    buffering), accept, pre-ack and delivery, and it assembles one
-    {!span} per (entity, data PDU) delivery. Spans are pure data; the
-    {!Critpath} analyzer classifies them into delay segments, aggregates
-    registry histograms and renders Perfetto JSON. Stamps are whatever
+    The {e recorder} is the one collector of the paper's three-level
+    atomic receipt (acceptance → pre-acknowledgment → acknowledgment,
+    §4). The entity probes ([Repro_core.Probe]) stamp it at application
+    submit, first send, first receive, park (out-of-sequence buffering),
+    accept, pre-ack, delivery and acknowledgment. Stamps are whatever
     integer µs clock the embedder uses (simulated time in the simulator,
-    monotonic µs over UDP); only differences matter.
+    monotonic µs over UDP); only differences matter. What it produces is
+    decided at {!create}:
+
+    - always: the span discipline. A {e span} is the (entity, data PDU)
+      interval from acceptance to acknowledgment; the recorder counts
+      spans opened and closed and flags span bugs instead of silently
+      mis-stamping — closing a span that is not open (double
+      acknowledgment), stamping a ladder level out of order, or observing
+      a negative latency all increment error counters that tests assert
+      to be zero;
+    - with a [registry]: [co_ladder_stage_seconds{stage=...}] (first send
+      → each receipt level, for {e every} sequenced PDU, empty
+      confirmations included), [co_submit_queue_seconds] (submit → first
+      send, the flow-condition queueing delay) and [co_deliver_batch_size];
+    - with a [salt] (tracing on): one completed {!span} per (entity, data
+      PDU) delivery, for the {!Critpath} analyzer.
 
     Recording never feeds back into the protocol: a traced and an
     untraced run of the same seed are observationally identical, which
-    the tracing-equivalence property suite asserts. *)
+    the tracing-equivalence property suite asserts, and the histograms do
+    not depend on whether spans are kept. *)
 
 type span = {
   entity : int;  (** Where the delivery happened. *)
@@ -51,42 +67,116 @@ val salt_of_seed : seed:int -> int64
 
 type t
 
-val create : salt:int64 -> unit -> t
+val create : ?registry:Registry.t -> ?salt:int64 -> unit -> t
+(** [registry]: register the ladder histograms there (at creation, so
+    exposition sees them before the first sample). [salt]: keep completed
+    spans, with trace ids under [salt]. *)
 
-val salt : t -> int64
+val registry : t -> Registry.t option
 
-val on_send : t -> src:int -> seq:int -> now:int -> unit
-(** First broadcast of a fresh data PDU (retransmissions must not
-    re-stamp; callers fire this from the entity's first-send probe which
-    already guarantees it). *)
+val salt : t -> int64 option
+(** [Some] iff the recorder keeps spans. *)
+
+(** {2 Stamps}
+
+    [data] is false for empty confirmations: they climb the ladder and
+    feed the stage histograms, but spans are opened and closed only for
+    data PDUs — the trailing empty confirmations of a run are never
+    acknowledged, so tracking them would report orphan spans on every
+    complete run. *)
+
+val on_submit : t -> src:int -> now:int -> unit
+(** An application DT request entered entity [src] (it may be queued by
+    the flow condition before transmission). *)
+
+val on_send : t -> src:int -> seq:int -> data:bool -> now:int -> unit
+(** First broadcast of a fresh sequenced PDU; later calls for the same
+    PDU are ignored. A data PDU takes the oldest pending {!on_submit}
+    stamp of its source. *)
 
 val on_receive : t -> entity:int -> src:int -> seq:int -> now:int -> unit
-(** Any arrival; only the first per (entity, PDU) is kept. *)
+(** Any arrival of a data PDU; only the first per (entity, PDU) is kept.
+    Spans only: a no-op unless the recorder keeps spans. *)
 
 val on_park : t -> entity:int -> src:int -> seq:int -> unit
-(** The PDU was buffered out-of-sequence at [entity]; marks the span's
-    accept wait as RET recovery rather than batch queueing. *)
+(** The data PDU was buffered out-of-sequence at [entity]; marks the
+    span's accept wait as RET recovery rather than batch queueing. Spans
+    only. *)
 
-val on_accept : t -> entity:int -> src:int -> seq:int -> now:int -> unit
-val on_preack : t -> entity:int -> src:int -> seq:int -> now:int -> unit
+val on_accept :
+  t -> entity:int -> src:int -> seq:int -> data:bool -> now:int -> unit
+(** Opens the span. *)
 
-val on_deliver : t -> entity:int -> src:int -> seq:int -> now:int -> unit
-(** Completes the span. Spans missing a send or receive stamp (PDU from
-    before instrumentation was attached) are dropped and counted in
+val on_preack :
+  t -> entity:int -> src:int -> seq:int -> data:bool -> now:int -> unit
+
+val on_deliver :
+  t -> entity:int -> incarnation:int -> src:int -> seq:int -> now:int -> unit
+(** Data PDUs only; fires inside acknowledgment, before {!on_ack}, so the
+    span must still be open. Completes the kept span; one missing a send,
+    receive or ladder stamp (PDU from before instrumentation was
+    attached, or cut short by a crash) is dropped and counted in
     {!incomplete}. *)
 
-val abandon_entity : t -> entity:int -> unit
-(** Entity crash: discard its open partial spans (counted in
-    {!abandoned}) and bump its incarnation, so post-restart stamps can
-    never stitch onto pre-crash ones. Call once per crash {e and} once
-    per restart, mirroring the cluster's incarnation counter. *)
+val on_ack : t -> entity:int -> src:int -> seq:int -> data:bool -> now:int -> unit
+(** Closes the span. *)
+
+val on_deliver_batch : t -> size:int -> unit
+(** One ACK-scan drain acknowledged [size] PDUs in a row. Feeds the
+    [co_deliver_batch_size] histogram (a count, not a latency); zero-sized
+    scans are not recorded. *)
+
+val abandon_entity : t -> entity:int -> incarnation:int -> unit
+(** Entity [entity] crashed while running as [incarnation]: close its
+    open spans as {e abandoned} — counted in {!abandoned} and the
+    [co_spans_abandoned_total{entity=...,incarnation=...}] counter —
+    instead of leaking them or letting the restarted incarnation's stamps
+    stitch onto them. Its partial stamps are discarded. Post-restart
+    pre-ack/deliver/ack stamps for an abandoned span (the checkpointed
+    entity resumes mid-ladder) are accepted silently rather than flagged
+    as span errors, but they never close a span; a fresh acceptance
+    opens a new one. *)
+
+val cut : t -> unit
+(** A view-change cut remapped the ranks: drop every first-send stamp,
+    pending submit stamp and partial span of the closed epoch, so the new
+    epoch's [(rank, seq)] keys start clean. Completed spans and counters
+    are kept; a span still open at the cut stays counted in
+    {!open_spans}. *)
+
+(** {2 Results} *)
+
+type ladder = {
+  queue : Histogram.snapshot;  (** submit → first send, µs. *)
+  accept : Histogram.snapshot;  (** first send → acceptance, µs. *)
+  preack : Histogram.snapshot;
+  ack : Histogram.snapshot;
+  deliver : Histogram.snapshot;
+}
+
+val ladder : t -> ladder option
+(** [None] without a registry. *)
 
 val spans : t -> span list
-(** Completed spans, in completion order. *)
+(** Completed spans, in completion order; [[]] unless spans are kept. *)
 
-val span_count : t -> int
+val spans_opened : t -> int
+val spans_closed : t -> int
+
 val abandoned : t -> int
-val incomplete : t -> int
+(** Spans closed by {!abandon_entity} rather than by acknowledgment. *)
 
-val open_count : t -> int
-(** Partial spans still accumulating stamps — 0 at quiescence. *)
+val open_spans : t -> int
+(** Accepted but not yet acknowledged (entity, data PDU) pairs — 0 at
+    quiescence; a nonzero value after a complete run is an orphan span. *)
+
+val close_errors : t -> int
+(** Acknowledgments with no matching open span (double-ack or
+    ack-before-accept). Must be 0. *)
+
+val order_errors : t -> int
+(** Ladder stamps out of order or with negative latency (preack/deliver on
+    a closed or never-opened span, clock regression). Must be 0. *)
+
+val incomplete : t -> int
+(** Deliveries whose span could not be completed (kept spans only). *)

@@ -3,7 +3,6 @@ module Config = Repro_core.Config
 module Pdu = Repro_pdu.Pdu
 module Codec = Repro_pdu.Codec
 module Simtime = Repro_sim.Simtime
-module Lifecycle = Repro_obs.Lifecycle
 module Registry = Repro_obs.Registry
 module Wirestats = Repro_obs.Wirestats
 module Trace_ctx = Repro_obs.Trace_ctx
@@ -63,8 +62,7 @@ type t = {
   mutable fault_hook : (dst:int -> src:int -> bytes -> bytes list) option;
   mutable faulted : int;
   registry : Registry.t option;
-  lifecycle : Lifecycle.t option;
-  tracer : Trace_ctx.t option;
+  recorder : Trace_ctx.t option;
 }
 
 (* Monotonic microseconds since cluster creation, as the entities'
@@ -98,9 +96,8 @@ let ship t node dest bytes ~pdus ~payload =
    to its v2 batches (0xB3 frames); untraced and v1 nodes are
    byte-identical to before. *)
 let encode_batch t node batch =
-  match (node.traced, t.tracer) with
-  | true, Some tr ->
-    let salt = Trace_ctx.salt tr in
+  match (node.traced, Option.bind t.recorder Trace_ctx.salt) with
+  | true, Some salt ->
     let ids =
       Array.of_list
         (List.map
@@ -204,96 +201,20 @@ let make_node (t_ref : t option ref) ~id ~socket ~addr ~wire ~traced
   in
   Lazy.force node
 
-(* Monotonic µs since creation for every stamp (see [now_us]); the probe
-   serves the lifecycle tracker (iff instrumented) and the trace recorder
-   (iff tracing), like the simulated cluster's. Re-applied to the fresh
-   entities after a view change — note the [entity] label is the node's
-   {e rank}, which remaps across epochs. *)
-let attach_probe t node =
-  let id = node.id in
-  let received =
-    Option.map
-      (fun reg ->
-        Registry.counter reg
-          ~help:"Data PDUs received, including duplicates and out-of-order"
-          ~name:"co_pdus_received_total"
-          [ ("entity", string_of_int id) ])
-      t.registry
-  in
-  let now () = now_us t in
-  let backoff_h =
-    Option.map
-      (fun reg ->
-        Registry.histogram reg
-          ~help:"RET retry delay after each backoff step, microseconds"
-          ~name:"co_ret_backoff_us"
-          [ ("entity", string_of_int id) ])
-      t.registry
-  in
-  let lc f = match t.lifecycle with Some l -> f l | None -> () in
-  let tr f = match t.tracer with Some r -> f r | None -> () in
-  let is_data d = not (Pdu.is_confirmation d) in
-  Entity.set_probe node.entity
-    {
-      Entity.on_submit =
-        (fun () -> lc (fun l -> Lifecycle.submit l ~src:id ~now:(now ())));
-      on_transmit =
-        (fun d ->
-          lc (fun l ->
-              Lifecycle.first_send l ~src:d.src ~seq:d.seq ~data:(is_data d)
-                ~now:(now ()));
-          if is_data d then
-            tr (fun r -> Trace_ctx.on_send r ~src:d.src ~seq:d.seq ~now:(now ())));
-      on_receive =
-        (fun d ->
-          (match received with Some c -> Registry.inc c | None -> ());
-          if is_data d then
-            tr (fun r ->
-                Trace_ctx.on_receive r ~entity:id ~src:d.src ~seq:d.seq
-                  ~now:(now ())));
-      on_park =
-        (fun d ->
-          if is_data d then
-            tr (fun r -> Trace_ctx.on_park r ~entity:id ~src:d.src ~seq:d.seq));
-      on_accept =
-        (fun d ->
-          lc (fun l ->
-              Lifecycle.accept l ~entity:id ~src:d.src ~seq:d.seq
-                ~data:(is_data d) ~now:(now ()));
-          if is_data d then
-            tr (fun r ->
-                Trace_ctx.on_accept r ~entity:id ~src:d.src ~seq:d.seq
-                  ~now:(now ())));
-      on_preack =
-        (fun d ->
-          lc (fun l ->
-              Lifecycle.preack l ~entity:id ~src:d.src ~seq:d.seq
-                ~data:(is_data d) ~now:(now ()));
-          if is_data d then
-            tr (fun r ->
-                Trace_ctx.on_preack r ~entity:id ~src:d.src ~seq:d.seq
-                  ~now:(now ())));
-      on_ack =
-        (fun d ->
-          lc (fun l ->
-              Lifecycle.ack l ~entity:id ~src:d.src ~seq:d.seq
-                ~data:(is_data d) ~now:(now ())));
-      on_deliver =
-        (fun d ->
-          lc (fun l ->
-              Lifecycle.deliver l ~entity:id ~src:d.src ~seq:d.seq
-                ~now:(now ()));
-          tr (fun r ->
-              Trace_ctx.on_deliver r ~entity:id ~src:d.src ~seq:d.seq
-                ~now:(now ())));
-      on_deliver_batch =
-        (fun size -> lc (fun l -> Lifecycle.deliver_batch l ~size));
-      on_ret_backoff =
-        (fun delay ->
-          match backoff_h with
-          | Some h -> Registry.observe h delay
-          | None -> ());
-    }
+(* Monotonic µs since creation for every stamp (see [now_us]). Re-applied
+   to the fresh entities after a view change — note the [entity] label is
+   the node's {e rank}, which remaps across epochs. *)
+let attach_probes t =
+  match t.recorder with
+  | Some r ->
+    Array.iter
+      (fun node ->
+        Entity.set_probe node.entity
+          (Repro_core.Probe.of_recorder r ~entity:node.id
+             ~now:(fun () -> now_us t)
+             ()))
+      t.nodes
+  | None -> ()
 
 let create ?registry ?(loss = 0.) ?(seed = 0) ?(config = Config.default) ?wires
     ?traced ~n () =
@@ -359,18 +280,19 @@ let create ?registry ?(loss = 0.) ?(seed = 0) ?(config = Config.default) ?wires
       fault_hook = None;
       faulted = 0;
       registry;
-      lifecycle =
-        Option.map (fun reg -> Lifecycle.create ~registry:reg ()) registry;
-      tracer =
-        (if config.Config.tracing || Array.exists Fun.id traced then
-           Some
-             (Trace_ctx.create ~salt:(Trace_ctx.salt_of_seed ~seed) ())
+      recorder =
+        (let salt =
+           if config.Config.tracing || Array.exists Fun.id traced then
+             Some (Trace_ctx.salt_of_seed ~seed)
+           else None
+         in
+         if Option.is_some registry || Option.is_some salt then
+           Some (Trace_ctx.create ?registry ?salt ())
          else None);
     }
   in
   t_ref := Some t;
-  (if Option.is_some t.lifecycle || Option.is_some t.tracer then
-     Array.iter (attach_probe t) t.nodes);
+  attach_probes t;
   t
 
 let size t = t.n
@@ -623,8 +545,10 @@ let commit_view_change t change =
          member still needs them). *)
       try Unix.close old.(l).socket with Unix.Unix_error _ -> ())
     | Add_node -> ());
-    (if Option.is_some t.lifecycle || Option.is_some t.tracer then
-       Array.iter (attach_probe t) t.nodes);
+    (* The closed epoch's (rank, seq) stamps would be read against the
+       remapped ranks' fresh PDUs. *)
+    Option.iter Trace_ctx.cut t.recorder;
+    attach_probes t;
     Array.iter (fun node -> Entity.kick node.entity) t.nodes;
     flush_all t;
     Ok ()
@@ -648,8 +572,7 @@ let datagrams_sent t = t.sent
 let datagrams_dropped t = t.dropped
 let datagrams_faulted t = t.faulted
 let decode_errors t = t.decode_errors
-let lifecycle t = t.lifecycle
-let tracer t = t.tracer
+let recorder t = t.recorder
 let started_at_wall t = t.started_at_wall
 let wirestats t = t.wirestats
 

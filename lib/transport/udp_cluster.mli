@@ -26,10 +26,11 @@ val create :
 (** Bind [n] UDP sockets on ephemeral loopback ports and attach one CO entity
     to each. [loss] drops incoming datagrams iid (before decode, never for an
     entity's own loopback, which is delivered in-process). [registry]
-    enables receipt-ladder telemetry: every entity gets a probe stamping
-    {e monotonic-clock} microseconds into a {!Repro_obs.Lifecycle.t} (see
-    {!sync_registry}); the one wall-clock stamp the cluster keeps is
-    {!started_at_wall}, for log headers.
+    enables receipt-ladder telemetry: every entity gets the
+    {!Repro_core.Probe} wiring, stamping {e monotonic-clock} microseconds
+    into the {!recorder}'s histograms (see {!sync_registry}); the one
+    wall-clock stamp the cluster keeps is {!started_at_wall}, for log
+    headers.
 
     [wires] sets the codec version each node {e frames egress with}
     (default: every node uses [config.wire]); ingress always dispatches on
@@ -43,8 +44,7 @@ val create :
     [config.tracing]); it has no effect on a v1 node's egress. Untraced
     receivers decode 0xB3 and discard the ids, so traced/untraced clusters
     interoperate too. If any node is traced (or [config.tracing] is set) the
-    cluster also keeps a {!Repro_obs.Trace_ctx.t} recorder fed by the entity
-    probes — see {!tracer}.
+    {!recorder} also keeps completed spans.
 
     @raise Invalid_argument if [wires] or [traced] has length <> [n].
     @raise Unix.Unix_error if sockets cannot be created. *)
@@ -147,13 +147,14 @@ val wirestats : t -> Repro_obs.Wirestats.t
     the wire (loopback self-copies excluded — they never serialize). The
     [wire] label is the uniform version name, or ["mixed"]. *)
 
-val lifecycle : t -> Repro_obs.Lifecycle.t option
-(** The per-PDU lifecycle tracker, present iff [create] got a [?registry]. *)
-
-val tracer : t -> Repro_obs.Trace_ctx.t option
-(** The causal-trace recorder, present iff [config.tracing] or any [traced]
-    node; its salt is derived from [seed]. Feed its spans to
-    {!Repro_obs.Critpath} for delay attribution and Perfetto export. *)
+val recorder : t -> Repro_obs.Trace_ctx.t option
+(** The receipt-ladder recorder, present iff [create] got a [?registry] or
+    tracing is on ([config.tracing] or any [traced] node). It records
+    histograms into the registry when given one, and keeps completed
+    spans (trace ids salted from [seed]) when tracing — feed those to
+    {!Repro_obs.Critpath} for delay attribution and Perfetto export.
+    {!commit_view_change} cuts it: the closed epoch's stamps are dropped
+    before the ranks remap. *)
 
 val started_at_wall : t -> float
 (** [Unix.gettimeofday] at creation — the run's single wall-clock stamp,

@@ -13,8 +13,8 @@ val now_ns : unit -> int64
     Only differences are meaningful. *)
 
 val now_us : unit -> int
-(** [now_ns] scaled to whole microseconds (the unit the lifecycle tracker
-    and the UDP transport stamp with). *)
+(** [now_ns] scaled to whole microseconds (the unit the receipt-ladder
+    recorder and the UDP transport stamp with). *)
 
 val now_s : unit -> float
 (** [now_ns] as float seconds, for coarse deadlines. *)

@@ -29,6 +29,6 @@ let () =
       Cluster.submit_at c ~at:(Simtime.of_ms at) ~src (Printf.sprintf "p%d" i))
     [ (1, 0); (2, 1); (3, 2); (5, 0); (8, 1) ];
   Cluster.run c ~max_events:400_000;
-  match Cluster.tracer c with
+  match Cluster.recorder c with
   | Some tr -> print_string (Critpath.to_perfetto (Trace_ctx.spans tr))
   | None -> prerr_endline "tracing-enabled cluster has no recorder"; exit 1

@@ -1,16 +1,15 @@
 (* Observability subsystem: histogram laws, registry/exposition round-trips,
-   and the per-PDU lifecycle span discipline — on a quiescent simulated run
+   and the receipt-ladder span discipline — on a quiescent simulated run
    and across every interleaving of the small-scope explorer. *)
 
 module Histogram = Repro_obs.Histogram
 module Registry = Repro_obs.Registry
 module Exporter = Repro_obs.Exporter
-module Lifecycle = Repro_obs.Lifecycle
+module Trace_ctx = Repro_obs.Trace_ctx
+module Probe = Repro_core.Probe
 module Stats = Repro_util.Stats
 module Cluster = Repro_core.Cluster
 module Entity = Repro_core.Entity
-module Config = Repro_core.Config
-module Pdu = Repro_pdu.Pdu
 module Explorer = Repro_check.Explorer
 module Workload = Repro_harness.Workload
 module Experiment = Repro_harness.Experiment
@@ -194,7 +193,7 @@ let test_lint_catches_garbage () =
   | Error _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Lifecycle spans on a full simulated run.                            *)
+(* Receipt-ladder spans on a full simulated run.                       *)
 
 let run_instrumented ~n ~per_entity ~loss ~seed =
   let registry = Registry.create () in
@@ -211,23 +210,23 @@ let test_spans_close_once () =
   List.iter
     (fun (loss, seed) ->
       let _, cluster, o = run_instrumented ~n:3 ~per_entity:8 ~loss ~seed in
-      let lc = Option.get (Cluster.lifecycle cluster) in
+      let r = Option.get (Cluster.recorder cluster) in
       let data_pdus = o.Experiment.submitted in
       (* Every data PDU is accepted and acknowledged at every entity exactly
          once: spans open n * messages times and all of them close. *)
-      check int_t "spans opened" (3 * data_pdus) (Lifecycle.spans_opened lc);
-      check int_t "spans closed = opened" (Lifecycle.spans_opened lc)
-        (Lifecycle.spans_closed lc);
-      check int_t "no orphan spans" 0 (Lifecycle.open_spans lc);
-      check int_t "no close errors" 0 (Lifecycle.close_errors lc);
-      check int_t "no order errors" 0 (Lifecycle.order_errors lc);
+      check int_t "spans opened" (3 * data_pdus) (Trace_ctx.spans_opened r);
+      check int_t "spans closed = opened" (Trace_ctx.spans_opened r)
+        (Trace_ctx.spans_closed r);
+      check int_t "no orphan spans" 0 (Trace_ctx.open_spans r);
+      check int_t "no close errors" 0 (Trace_ctx.close_errors r);
+      check int_t "no order errors" 0 (Trace_ctx.order_errors r);
       let ladder = Option.get o.Experiment.ladder in
       check int_t "deliver samples = deliveries" o.Experiment.delivered_total
-        ladder.Lifecycle.deliver.Histogram.count;
+        ladder.Trace_ctx.deliver.Histogram.count;
       check int_t "ack spans match deliveries for data"
-        o.Experiment.delivered_total (Lifecycle.spans_closed lc);
+        o.Experiment.delivered_total (Trace_ctx.spans_closed r);
       check int_t "queue stamp per submission" data_pdus
-        ladder.Lifecycle.queue.Histogram.count)
+        ladder.Trace_ctx.queue.Histogram.count)
     [ (0.0, 1); (0.15, 7) ]
 
 let test_ladder_ordering () =
@@ -240,12 +239,12 @@ let test_ladder_ordering () =
   List.iter
     (fun q ->
       check bool_t "accept <= ack at rank" true
-        (p q ladder.Lifecycle.accept <= p q ladder.Lifecycle.ack);
+        (p q ladder.Trace_ctx.accept <= p q ladder.Trace_ctx.ack);
       check bool_t "preack <= ack at rank" true
-        (p q ladder.Lifecycle.preack <= p q ladder.Lifecycle.ack))
+        (p q ladder.Trace_ctx.preack <= p q ladder.Trace_ctx.ack))
     [ 50.; 90.; 99. ];
-  let lc = Option.get (Cluster.lifecycle cluster) in
-  check int_t "no order errors" 0 (Lifecycle.order_errors lc)
+  let r = Option.get (Cluster.recorder cluster) in
+  check int_t "no order errors" 0 (Trace_ctx.order_errors r)
 
 let test_registry_exposition_after_run () =
   let registry, _, _ = run_instrumented ~n:3 ~per_entity:6 ~loss:0.1 ~seed:5 in
@@ -255,10 +254,10 @@ let test_registry_exposition_after_run () =
   | Error es -> Alcotest.failf "exposition lint: %s" (String.concat "; " es)
 
 (* ------------------------------------------------------------------ *)
-(* Lifecycle spans across every explored interleaving (n = 2).         *)
+(* Receipt-ladder spans across every explored interleaving (n = 2).    *)
 
 let test_spans_under_exploration () =
-  (* A fresh tracker per replayed system (the explorer rebuilds entities
+  (* A fresh recorder per replayed system (the explorer rebuilds entities
      once per path); stamp errors accumulate across all paths. The frozen
      clock makes every latency 0, so any nonzero error counter is a true
      span-discipline violation on some interleaving. *)
@@ -266,45 +265,19 @@ let test_spans_under_exploration () =
   let current = ref None in
   let flush () =
     match !current with
-    | Some lc ->
-      errors := !errors + Lifecycle.close_errors lc + Lifecycle.order_errors lc
+    | Some r ->
+      errors := !errors + Trace_ctx.close_errors r + Trace_ctx.order_errors r
     | None -> ()
   in
   let on_system entities =
     flush ();
     incr paths;
-    let lc = Lifecycle.create () in
-    current := Some lc;
+    let r = Trace_ctx.create () in
+    current := Some r;
     Array.iteri
       (fun id e ->
         Entity.set_probe e
-          {
-            Entity.on_submit = (fun () -> Lifecycle.submit lc ~src:id ~now:0);
-            on_transmit =
-              (fun d ->
-                Lifecycle.first_send lc ~src:d.Pdu.src ~seq:d.Pdu.seq
-                  ~data:(not (Pdu.is_confirmation d)) ~now:0);
-            on_receive = ignore;
-            on_park = ignore;
-            on_accept =
-              (fun d ->
-                Lifecycle.accept lc ~entity:id ~src:d.Pdu.src ~seq:d.Pdu.seq
-                  ~data:(not (Pdu.is_confirmation d)) ~now:0);
-            on_preack =
-              (fun d ->
-                Lifecycle.preack lc ~entity:id ~src:d.Pdu.src ~seq:d.Pdu.seq
-                  ~data:(not (Pdu.is_confirmation d)) ~now:0);
-            on_ack =
-              (fun d ->
-                Lifecycle.ack lc ~entity:id ~src:d.Pdu.src ~seq:d.Pdu.seq
-                  ~data:(not (Pdu.is_confirmation d)) ~now:0);
-            on_deliver =
-              (fun d ->
-                Lifecycle.deliver lc ~entity:id ~src:d.Pdu.src ~seq:d.Pdu.seq
-                  ~now:0);
-            on_deliver_batch = (fun size -> Lifecycle.deliver_batch lc ~size);
-            on_ret_backoff = ignore;
-          })
+          (Probe.of_recorder r ~entity:id ~now:(fun () -> 0) ()))
       entities
   in
   let base = Explorer.default_config ~n:2 in

@@ -30,7 +30,6 @@ module Trace_ctx = Repro_obs.Trace_ctx
 module Critpath = Repro_obs.Critpath
 module Registry = Repro_obs.Registry
 module Exporter = Repro_obs.Exporter
-module Lifecycle = Repro_obs.Lifecycle
 module Plan = Repro_fault.Plan
 module Chaos = Repro_fault.Chaos
 module Jsonx = Repro_analysis.Jsonx
@@ -228,6 +227,51 @@ let prop_tracing_equivalent =
     ~count:1000 arb_scenario (fun sc ->
       run_scenario ~tracing:false sc = run_scenario ~tracing:true sc)
 
+(* The registry histograms are the recorder's with or without kept spans:
+   switching tracing on may add spans, never move a histogram sample. *)
+let test_histograms_independent_of_spans () =
+  let ladder_snapshots ~tracing ~seed ~loss =
+    let reg = Registry.create () in
+    let base = Cluster.default_config ~n:4 in
+    let c =
+      Cluster.create
+        {
+          base with
+          Cluster.protocol = { base.Cluster.protocol with Config.tracing };
+          loss_prob = loss;
+          seed;
+          instrument = Some reg;
+        }
+    in
+    for k = 0 to 23 do
+      Cluster.submit_at c ~at:(Simtime.of_ms (2 * k)) ~src:(k mod 4)
+        (Printf.sprintf "h%d" k)
+    done;
+    Cluster.run c ~max_events:400_000;
+    List.filter_map
+      (fun (sample : Registry.sample) ->
+        match (sample.Registry.family, sample.Registry.value) with
+        | ( ( "co_ladder_stage_seconds" | "co_submit_queue_seconds"
+            | "co_deliver_batch_size" ),
+            Registry.Sample_histogram snap ) ->
+          Some (sample.Registry.family, sample.Registry.labels, snap)
+        | _ -> None)
+      (Registry.samples reg)
+  in
+  List.iter
+    (fun (seed, loss) ->
+      let plain = ladder_snapshots ~tracing:false ~seed ~loss in
+      check int_t "six histogram series" 6 (List.length plain);
+      check bool_t "samples recorded" true
+        (List.for_all
+           (fun (_, _, snap) -> snap.Repro_obs.Histogram.count > 0)
+           plain);
+      check bool_t
+        (Printf.sprintf "seed %d loss %.2f: identical snapshots" seed loss)
+        true
+        (plain = ladder_snapshots ~tracing:true ~seed ~loss))
+    [ (7, 0.0); (19, 0.15) ]
+
 (* --- Attribution: segments cover delivery latency exactly --- *)
 
 let mk_span ?(entity = 1) ?(incarnation = 0) ?(src = 0) ?(seq = 1)
@@ -353,13 +397,11 @@ let test_crash_abandons_spans () =
     | None -> Alcotest.fail "traced run produced no attribution"
   in
   check bool_t "crash abandoned trace spans" true (s.Critpath.abandoned > 0);
-  check bool_t "crash abandoned lifecycle spans" true
-    (o.Chaos.spans_abandoned > 0);
+  check int_t "summary and chaos outcome agree on abandoned spans"
+    s.Critpath.abandoned o.Chaos.spans_abandoned;
   check int_t "attribution is exact despite the crash"
     s.Critpath.end_to_end_us s.Critpath.attributed_us;
-  (* No stitching: post-restart stamps may not close pre-crash lifecycle
-     spans, so the tracker reports zero close/order anomalies. *)
-  let lc =
+  let exported =
     match
       List.find_opt
         (fun (sample : Registry.sample) ->
@@ -369,7 +411,7 @@ let test_crash_abandons_spans () =
     | Some _ -> true
     | None -> false
   in
-  check bool_t "co_spans_abandoned_total exported" true lc
+  check bool_t "co_spans_abandoned_total exported" true exported
 
 let test_cluster_crash_no_stitch () =
   (* Drive the crash by hand so it provably lands mid-ladder: stop the
@@ -395,15 +437,14 @@ let test_cluster_crash_no_stitch () =
   Cluster.crash c ~id:2;
   Cluster.restart c ~id:2;
   Cluster.run c;
-  let lc = match Cluster.lifecycle c with Some l -> l | None -> assert false in
+  let tr = match Cluster.recorder c with Some t -> t | None -> assert false in
   check bool_t "mid-ladder spans were open at the crash" true
-    (Lifecycle.spans_abandoned lc > 0);
-  check int_t "no span closed across incarnations" 0
-    (Lifecycle.close_errors lc);
-  check int_t "no out-of-order stage stamps" 0 (Lifecycle.order_errors lc);
-  let tr = match Cluster.tracer c with Some t -> t | None -> assert false in
-  check bool_t "trace recorder abandoned the crashed partials" true
     (Trace_ctx.abandoned tr > 0);
+  (* No stitching: post-restart stamps may not close pre-crash spans, so
+     the recorder reports zero close/order anomalies and no orphans. *)
+  check int_t "no span closed across incarnations" 0 (Trace_ctx.close_errors tr);
+  check int_t "no out-of-order stage stamps" 0 (Trace_ctx.order_errors tr);
+  check int_t "no orphan spans after the restart" 0 (Trace_ctx.open_spans tr);
   (* Post-restart deliveries at entity 2 carry the new incarnation; stamps
      inside every completed span are monotone (a stitched span would fold
      a pre-crash receive under a post-restart accept, which abandon
@@ -422,27 +463,54 @@ let test_cluster_crash_no_stitch () =
 (* --- Recorder unit semantics --- *)
 
 let test_recorder_abandon_unit () =
-  let r = Trace_ctx.create ~salt:3L () in
-  Trace_ctx.on_send r ~src:0 ~seq:1 ~now:0;
+  let reg = Registry.create () in
+  let r = Trace_ctx.create ~registry:reg ~salt:3L () in
+  let data = true in
+  Trace_ctx.on_send r ~src:0 ~seq:1 ~data ~now:0;
+  Trace_ctx.on_send r ~src:0 ~seq:2 ~data ~now:1;
   Trace_ctx.on_receive r ~entity:1 ~src:0 ~seq:1 ~now:5;
-  Trace_ctx.on_accept r ~entity:1 ~src:0 ~seq:1 ~now:6;
-  check int_t "one open partial" 1 (Trace_ctx.open_count r);
-  Trace_ctx.abandon_entity r ~entity:1;
-  check int_t "abandon clears the partial" 0 (Trace_ctx.open_count r);
-  check int_t "abandon counted" 1 (Trace_ctx.abandoned r);
-  (* A delivery arriving after the crash cannot resurrect the span. *)
-  Trace_ctx.on_deliver r ~entity:1 ~src:0 ~seq:1 ~now:50;
+  Trace_ctx.on_accept r ~entity:1 ~src:0 ~seq:1 ~data ~now:6;
+  Trace_ctx.on_receive r ~entity:1 ~src:0 ~seq:2 ~now:7;
+  check int_t "one open span" 1 (Trace_ctx.open_spans r);
+  Trace_ctx.abandon_entity r ~entity:1 ~incarnation:0;
+  check int_t "abandon closes the span" 0 (Trace_ctx.open_spans r);
+  check int_t "abandon counted (accepted spans only)" 1 (Trace_ctx.abandoned r);
+  (* The restarted incarnation finishes the abandoned ladder from its
+     checkpoint: silently, without resurrecting the span. *)
+  Trace_ctx.on_preack r ~entity:1 ~src:0 ~seq:1 ~data ~now:40;
+  Trace_ctx.on_deliver r ~entity:1 ~incarnation:2 ~src:0 ~seq:1 ~now:50;
+  Trace_ctx.on_ack r ~entity:1 ~src:0 ~seq:1 ~data ~now:50;
   check int_t "post-crash deliver is incomplete, not a span" 0
-    (Trace_ctx.span_count r);
+    (List.length (Trace_ctx.spans r));
   check int_t "counted incomplete" 1 (Trace_ctx.incomplete r);
-  (* A fresh full ladder in the next incarnation completes normally. *)
-  Trace_ctx.on_receive r ~entity:1 ~src:0 ~seq:1 ~now:60;
-  Trace_ctx.on_accept r ~entity:1 ~src:0 ~seq:1 ~now:61;
-  Trace_ctx.on_preack r ~entity:1 ~src:0 ~seq:1 ~now:62;
-  Trace_ctx.on_deliver r ~entity:1 ~src:0 ~seq:1 ~now:63;
+  check int_t "no span error for the resumed ladder" 0
+    (Trace_ctx.close_errors r + Trace_ctx.order_errors r);
+  check int_t "nothing closed by the resumed ladder" 0
+    (Trace_ctx.spans_closed r);
+  (* The PDU received but not accepted before the crash climbs a fresh
+     full ladder in the next incarnation and completes normally. *)
+  Trace_ctx.on_receive r ~entity:1 ~src:0 ~seq:2 ~now:60;
+  Trace_ctx.on_accept r ~entity:1 ~src:0 ~seq:2 ~data ~now:61;
+  Trace_ctx.on_preack r ~entity:1 ~src:0 ~seq:2 ~data ~now:62;
+  Trace_ctx.on_deliver r ~entity:1 ~incarnation:2 ~src:0 ~seq:2 ~now:63;
+  Trace_ctx.on_ack r ~entity:1 ~src:0 ~seq:2 ~data ~now:63;
+  check int_t "fresh span closed" 1 (Trace_ctx.spans_closed r);
+  check int_t "no orphans" 0 (Trace_ctx.open_spans r);
+  let abandoned_total =
+    List.fold_left
+      (fun acc (s : Registry.sample) ->
+        match (s.Registry.family, s.Registry.value) with
+        | "co_spans_abandoned_total", Registry.Sample_counter c ->
+          check bool_t "tagged with the dying incarnation" true
+            (List.assoc "incarnation" s.Registry.labels = "0");
+          acc + c
+        | _ -> acc)
+      0 (Registry.samples reg)
+  in
+  check int_t "co_spans_abandoned_total" 1 abandoned_total;
   match Trace_ctx.spans r with
   | [ sp ] ->
-    check int_t "new span, new incarnation" 1 sp.Trace_ctx.incarnation;
+    check int_t "new span, new incarnation" 2 sp.Trace_ctx.incarnation;
     check int_t "receive stamp is post-restart" 60 sp.Trace_ctx.t_recv
   | spans -> Alcotest.failf "expected 1 span, got %d" (List.length spans)
 
@@ -464,7 +532,7 @@ let perfetto_scenario () =
       Cluster.submit_at c ~at:(Simtime.of_ms at) ~src (Printf.sprintf "p%d" i))
     [ (1, 0); (2, 1); (3, 2); (5, 0); (8, 1) ];
   Cluster.run c ~max_events:400_000;
-  match Cluster.tracer c with
+  match Cluster.recorder c with
   | Some tr -> Trace_ctx.spans tr
   | None -> Alcotest.fail "tracing-enabled cluster has no recorder"
 
@@ -576,7 +644,7 @@ let test_udp_traced_interop () =
   let t = Udp.create ~wires ~traced ~n:4 () in
   Fun.protect ~finally:(fun () -> Udp.close t) @@ fun () ->
   check bool_t "recorder present when any node traces" true
-    (Udp.tracer t <> None);
+    (Udp.recorder t <> None);
   for i = 0 to 3 do
     Udp.submit t ~src:i (Printf.sprintf "m%d" i)
   done;
@@ -611,7 +679,10 @@ let () =
               prop_traced_bitflip;
               prop_traced_truncation;
             ] );
-      ("equivalence", qsuite [ prop_tracing_equivalent ]);
+      ( "equivalence",
+        Alcotest.test_case "histograms independent of span keeping" `Quick
+          test_histograms_independent_of_spans
+        :: qsuite [ prop_tracing_equivalent ] );
       ( "attribution",
         [
           Alcotest.test_case "segment classes" `Quick test_segments_cover;

@@ -7,6 +7,8 @@ module Config = Repro_core.Config
 module Entity = Repro_core.Entity
 module Pdu = Repro_pdu.Pdu
 module Simtime = Repro_sim.Simtime
+module Trace_ctx = Repro_obs.Trace_ctx
+module Monoclock = Repro_util.Monoclock
 
 let check = Alcotest.check
 let int_t = Alcotest.int
@@ -210,6 +212,45 @@ let test_view_change_requires_reconciliation () =
         ~finally:(fun () -> Udp.close t2)
         (fun () -> ignore (Udp.commit_view_change t2 (Udp.Remove_node 0))))
 
+(* The recorder keys first-send stamps by (rank, seq). Removing rank 1
+   remaps old rank 2 to rank 1, whose next sequence numbers old rank 1
+   already used in the closed epoch: unless the cut drops those stamps,
+   post-cut spans measure from a send half a second in the past. *)
+let test_view_change_cuts_recorder () =
+  let t =
+    Udp.create ~config:{ fast_config with Config.tracing = true } ~n:3 ()
+  in
+  Fun.protect ~finally:(fun () -> Udp.close t) @@ fun () ->
+  for k = 1 to 30 do
+    Udp.submit t ~src:1 (Printf.sprintf "r1-%d" k)
+  done;
+  Udp.submit t ~src:2 "r2";
+  check bool_t "epoch 0 quiescent" true
+    (Udp.run_until_quiescent t ~max_seconds:10.);
+  Udp.run_for t ~seconds:0.5;
+  let r = Option.get (Udp.recorder t) in
+  let before = List.length (Trace_ctx.spans r) in
+  let t0 = Monoclock.now_us () in
+  (match Udp.commit_view_change t (Udp.Remove_node 1) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "removal refused: %s" e);
+  for k = 1 to 5 do
+    Udp.submit t ~src:1 (Printf.sprintf "post-%d" k)
+  done;
+  check bool_t "epoch 1 quiescent" true
+    (Udp.run_until_quiescent t ~max_seconds:10.);
+  let wall_us = Monoclock.now_us () - t0 in
+  let post = List.filteri (fun i _ -> i >= before) (Trace_ctx.spans r) in
+  check int_t "a span per post-cut delivery" 10 (List.length post);
+  List.iter
+    (fun (sp : Trace_ctx.span) ->
+      if sp.t_deliver - sp.t_send > wall_us then
+        Alcotest.failf
+          "span (%d, %d) at %d: send->deliver %d us exceeds the post-cut \
+           wall time %d us"
+          sp.src sp.seq sp.entity (sp.t_deliver - sp.t_send) wall_us)
+    post
+
 let test_close_is_idempotent () =
   let t = Udp.create ~n:2 () in
   Udp.close t;
@@ -232,6 +273,8 @@ let () =
             test_view_change_join_then_remove;
           Alcotest.test_case "view change needs the barrier" `Quick
             test_view_change_requires_reconciliation;
+          Alcotest.test_case "view change cuts the recorder" `Quick
+            test_view_change_cuts_recorder;
           Alcotest.test_case "close idempotent" `Quick test_close_is_idempotent;
         ] );
     ]
