@@ -87,7 +87,9 @@ let create (config : config) =
   in
   let recorder =
     if Option.is_some config.instrument || Option.is_some salt then
-      Some (Trace_ctx.create ?registry:config.instrument ?salt ())
+      Some
+        (Trace_ctx.create ?registry:config.instrument ?salt ~members:config.n
+           ())
     else None
   in
   let down = Array.make config.n false in

@@ -100,12 +100,14 @@ val receive : t -> Repro_pdu.Pdu.t -> unit
     which the MC medium always delivers). *)
 
 val receive_batch : t -> Repro_pdu.Pdu.t list -> unit
-(** Feed a datagram burst, in order, under a single post-processing pass:
-    the PACK/ACK scans, prune, pump and confirmation logic run once for
-    the whole batch instead of once per PDU. Observationally equivalent to
-    {!receive} per PDU except that Immediate mode answers the burst with
-    one confirmation rather than one per data PDU; the transport feeds
-    each decoded v2 batch datagram through here. *)
+(** Feed a burst, in order, under a single post-processing pass: the
+    PACK/ACK scans, prune, pump and confirmation logic run once for the
+    whole batch instead of once per PDU. Observationally equivalent to
+    {!receive} per PDU except that one confirmation decision answers the
+    whole burst (Immediate mode sends one confirmation rather than one
+    per data PDU). The UDP transport feeds a step's worth of datagrams
+    through here: every PDU decoded from a member's socket in one
+    [Udp_cluster.step], in arrival order. *)
 
 val kick : t -> unit
 (** Force recovery: broadcast a CTL carrying the current REQ vector (so

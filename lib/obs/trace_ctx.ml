@@ -61,7 +61,9 @@ type t = {
   registry : Registry.t option;
   hists : hists option;
   salt : int64 option; (* Some iff completed spans are kept *)
-  send_at : (int * int, int) Hashtbl.t; (* (src, seq) -> first send *)
+  mutable members : int; (* acknowledgments that retire a stamp *)
+  send_at : (int * int, int * int) Hashtbl.t;
+      (* (src, seq) -> (first send, members that acknowledged it) *)
   submit_q : (int, int Queue.t) Hashtbl.t; (* src -> pending submit times *)
   partials : (int * int * int, partial) Hashtbl.t; (* (entity, src, seq) *)
   mutable rev_spans : span list;
@@ -103,11 +105,12 @@ let hists reg =
         ~name:"co_deliver_batch_size" [];
   }
 
-let create ?registry ?salt () =
+let create ?registry ?salt ~members () =
   {
     registry;
     hists = Option.map hists registry;
     salt;
+    members;
     send_at = Hashtbl.create 1024;
     submit_q = Hashtbl.create 16;
     partials = Hashtbl.create 1024;
@@ -132,7 +135,7 @@ let latency t pick d =
 let stage t pick ~src ~seq ~now =
   match Hashtbl.find_opt t.send_at (src, seq) with
   | None -> () (* never saw the send: foreign or pre-instrumentation PDU *)
-  | Some t0 -> latency t pick (now - t0)
+  | Some (t0, _) -> latency t pick (now - t0)
 
 let on_submit t ~src ~now =
   let q =
@@ -148,7 +151,7 @@ let on_submit t ~src ~now =
 let on_send t ~src ~seq ~data ~now =
   let key = (src, seq) in
   if not (Hashtbl.mem t.send_at key) then begin
-    Hashtbl.add t.send_at key now;
+    Hashtbl.add t.send_at key (now, 0);
     if data then begin
       (* Sequenced data PDUs leave the source in submission order (the
          dt_queue is a FIFO and fresh submissions only bypass it when it is
@@ -208,7 +211,7 @@ let on_preack t ~entity ~src ~seq ~data ~now =
 
 let complete t ~entity ~incarnation ~src ~seq ~now salt p =
   match Hashtbl.find_opt t.send_at (src, seq) with
-  | Some t_send when p.p_recv >= 0 && p.p_preack >= 0 ->
+  | Some (t_send, _) when p.p_recv >= 0 && p.p_preack >= 0 ->
     t.rev_spans <-
       {
         entity;
@@ -246,7 +249,15 @@ let on_ack t ~entity ~src ~seq ~data ~now =
        t.closed <- t.closed + 1
      | Some { p_dead = true; _ } -> Hashtbl.remove t.partials key
      | Some _ | None -> t.close_errs <- t.close_errs + 1);
-  stage t (fun h -> h.h_ack) ~src ~seq ~now
+  (* Acknowledgment is the last stage that reads the first-send stamp: once
+     every member has acknowledged the PDU, nothing can read it again. *)
+  let key = (src, seq) in
+  match Hashtbl.find_opt t.send_at key with
+  | None -> ()
+  | Some (t0, acked) ->
+    latency t (fun h -> h.h_ack) (now - t0);
+    if acked + 1 = t.members then Hashtbl.remove t.send_at key
+    else Hashtbl.replace t.send_at key (t0, acked + 1)
 
 let on_deliver_batch t ~size =
   match t.hists with
@@ -282,7 +293,8 @@ let abandon_entity t ~entity ~incarnation =
            ])
   end
 
-let cut t =
+let cut t ~members =
+  t.members <- members;
   Hashtbl.reset t.send_at;
   Hashtbl.reset t.submit_q;
   Hashtbl.reset t.partials
@@ -307,6 +319,7 @@ let ladder t =
       })
     t.hists
 
+let send_stamps t = Hashtbl.length t.send_at
 let spans t = List.rev t.rev_spans
 let spans_opened t = t.opened
 let spans_closed t = t.closed

@@ -67,10 +67,12 @@ val salt_of_seed : seed:int -> int64
 
 type t
 
-val create : ?registry:Registry.t -> ?salt:int64 -> unit -> t
+val create : ?registry:Registry.t -> ?salt:int64 -> members:int -> unit -> t
 (** [registry]: register the ladder histograms there (at creation, so
     exposition sees them before the first sample). [salt]: keep completed
-    spans, with trace ids under [salt]. *)
+    spans, with trace ids under [salt]. [members]: the number of entities
+    that acknowledge every sequenced PDU; a PDU's first-send stamp is
+    dropped at its [members]-th {!on_ack}, the last stage that reads it. *)
 
 val registry : t -> Registry.t option
 
@@ -119,7 +121,8 @@ val on_deliver :
     {!incomplete}. *)
 
 val on_ack : t -> entity:int -> src:int -> seq:int -> data:bool -> now:int -> unit
-(** Closes the span. *)
+(** Closes the span. The [members]-th acknowledgment of a PDU retires its
+    first-send stamp (see {!create}). *)
 
 val on_deliver_batch : t -> size:int -> unit
 (** One ACK-scan drain acknowledged [size] PDUs in a row. Feeds the
@@ -137,12 +140,12 @@ val abandon_entity : t -> entity:int -> incarnation:int -> unit
     as span errors, but they never close a span; a fresh acceptance
     opens a new one. *)
 
-val cut : t -> unit
+val cut : t -> members:int -> unit
 (** A view-change cut remapped the ranks: drop every first-send stamp,
     pending submit stamp and partial span of the closed epoch, so the new
-    epoch's [(rank, seq)] keys start clean. Completed spans and counters
-    are kept; a span still open at the cut stays counted in
-    {!open_spans}. *)
+    epoch's [(rank, seq)] keys start clean, and take the new view's size
+    as [members] (see {!create}). Completed spans and counters are kept; a
+    span still open at the cut stays counted in {!open_spans}. *)
 
 (** {2 Results} *)
 
@@ -156,6 +159,10 @@ type ladder = {
 
 val ladder : t -> ladder option
 (** [None] without a registry. *)
+
+val send_stamps : t -> int
+(** First-send stamps held: PDUs sent but not yet acknowledged by every
+    member. It stays bounded by what is in flight, not by run length. *)
 
 val spans : t -> span list
 (** Completed spans, in completion order; [[]] unless spans are kept. *)

@@ -287,7 +287,7 @@ let create ?registry ?(loss = 0.) ?(seed = 0) ?(config = Config.default) ?wires
            else None
          in
          if Option.is_some registry || Option.is_some salt then
-           Some (Trace_ctx.create ?registry ?salt ())
+           Some (Trace_ctx.create ?registry ?salt ~members:n ())
          else None);
     }
   in
@@ -326,24 +326,32 @@ let src_of_addr t from =
   in
   scan 0
 
-let offer t node datagram =
-  if t.loss > 0. && Repro_util.Prng.bernoulli t.rng ~p:t.loss then
-    t.dropped <- t.dropped + 1
-  else begin
-    match Codec.decode_any datagram with
-    | Ok pdus -> Entity.receive_batch node.entity pdus
-    | Error _ -> t.decode_errors <- t.decode_errors + 1
+(* One surviving copy of a datagram: apply the injected loss, decode, and
+   prepend its PDUs (reversed) to [rev_pdus]. A bad datagram counts as one
+   decode error however many PDUs it claimed to carry. *)
+let offer t rev_pdus datagram =
+  if t.loss > 0. && Repro_util.Prng.bernoulli t.rng ~p:t.loss then begin
+    t.dropped <- t.dropped + 1;
+    rev_pdus
   end
+  else
+    match Codec.decode_any datagram with
+    | Ok pdus -> List.rev_append pdus rev_pdus
+    | Error _ ->
+      t.decode_errors <- t.decode_errors + 1;
+      rev_pdus
 
+(* Read every datagram queued on the node's socket (until EAGAIN), map each
+   through the fault hook and [offer], then hand everything decoded, in
+   arrival order, to the entity as one batch: the PACK/ACK scans, prune,
+   pump and confirmation decision run once per member per step, on the
+   whole burst, rather than once per datagram. *)
 let drain_socket t node =
-  let got = ref false in
-  let continue = ref true in
-  while !continue do
+  let rec drain got rev_pdus =
     match Unix.recvfrom node.socket t.buf 0 (Bytes.length t.buf) [] with
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      continue := false
+      (got, rev_pdus)
     | len, from ->
-      got := true;
       let datagram = Bytes.sub t.buf 0 len in
       let copies =
         match t.fault_hook with
@@ -353,9 +361,13 @@ let drain_socket t node =
           if copies = [] then t.faulted <- t.faulted + 1;
           copies
       in
-      List.iter (offer t node) copies
-  done;
-  !got
+      drain true (List.fold_left (offer t) rev_pdus copies)
+  in
+  let got, rev_pdus = drain false [] in
+  (match rev_pdus with
+  | [] -> ()
+  | _ -> Entity.receive_batch node.entity (List.rev rev_pdus));
+  got
 
 let step t ~timeout_s =
   if t.closed then invalid_arg "Udp_cluster.step: closed";
@@ -547,7 +559,7 @@ let commit_view_change t change =
     | Add_node -> ());
     (* The closed epoch's (rank, seq) stamps would be read against the
        remapped ranks' fresh PDUs. *)
-    Option.iter Trace_ctx.cut t.recorder;
+    Option.iter (Trace_ctx.cut ~members:n_new) t.recorder;
     attach_probes t;
     Array.iter (fun node -> Entity.kick node.entity) t.nodes;
     flush_all t;

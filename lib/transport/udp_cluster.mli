@@ -56,8 +56,13 @@ val submit : t -> src:int -> string -> unit
 
 val step : t -> timeout_s:float -> bool
 (** Run one event-loop iteration: fire due timers, then wait up to
-    [timeout_s] for datagrams and process them. Returns [false] when nothing
-    happened (no timer fired, no datagram arrived). *)
+    [timeout_s] for datagrams and process them. Each ready member's socket
+    is drained until it would block; everything decoded from that step's
+    datagrams reaches the member's entity as one
+    {!Repro_core.Entity.receive_batch}, in arrival order, so the
+    protocol's post-processing and confirmation decision run once per
+    member per step. Returns [false] when nothing happened (no timer
+    fired, no datagram arrived). *)
 
 val run_for : t -> seconds:float -> unit
 (** Drive the loop for a real-time duration, measured on the monotonic
@@ -128,6 +133,8 @@ val set_fault_hook : t -> (dst:int -> src:int -> bytes -> bytes list) -> unit
     duplication. This is the same contract as the simulator's
     {!Repro_sim.Network.set_fault_hook}, so one
     {!Repro_fault.Injector.on_datagram} closure serves both transports.
+    The hook runs per datagram, before injected loss and decoding; the
+    copies it returns join the step's batch for [dst] (see {!step}).
     Replaces any previous hook. *)
 
 val clear_fault_hook : t -> unit

@@ -272,7 +272,7 @@ let test_spans_under_exploration () =
   let on_system entities =
     flush ();
     incr paths;
-    let r = Trace_ctx.create () in
+    let r = Trace_ctx.create ~members:(Array.length entities) () in
     current := Some r;
     Array.iteri
       (fun id e ->

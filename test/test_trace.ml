@@ -272,6 +272,48 @@ let test_histograms_independent_of_spans () =
         (plain = ladder_snapshots ~tracing:true ~seed ~loss))
     [ (7, 0.0); (19, 0.15) ]
 
+(* A first-send stamp is read by every member's ladder up to its
+   acknowledgment and by nothing after: once the last member acknowledges
+   the PDU the recorder drops it. What a quiescent run still holds are the
+   PDUs some member has accepted but not acknowledged — the trailing empty
+   confirmations, which only later traffic would acknowledge — never its
+   history. *)
+let test_send_stamps_retire () =
+  let base = Cluster.default_config ~n:4 in
+  let c =
+    Cluster.create
+      {
+        base with
+        Cluster.protocol = { base.Cluster.protocol with Config.tracing = true };
+        loss_prob = 0.1;
+        seed = 5;
+        instrument = Some (Registry.create ());
+      }
+  in
+  for k = 0 to 199 do
+    Cluster.submit_at c ~at:(Simtime.of_ms k) ~src:(k mod 4)
+      (Printf.sprintf "s%d" k)
+  done;
+  Cluster.run c;
+  let r = Option.get (Cluster.recorder c) in
+  for e = 0 to 3 do
+    check int_t "all delivered" 200
+      (List.length (Cluster.deliveries c ~entity:e))
+  done;
+  check int_t "no open spans" 0 (Trace_ctx.open_spans r);
+  let unacked = Hashtbl.create 16 in
+  for e = 0 to 3 do
+    let ent = Cluster.entity c e in
+    List.iter
+      (fun (d : Pdu.data) ->
+        if d.payload <> "" then Alcotest.failf "data (%d, %d) unacked" d.src d.seq;
+        Hashtbl.replace unacked (Pdu.key d) ())
+      (Entity.prl_list ent
+      @ List.concat_map (fun src -> Entity.rrl_list ent ~src) [ 0; 1; 2; 3 ])
+  done;
+  check int_t "stamps = PDUs not yet acknowledged everywhere"
+    (Hashtbl.length unacked) (Trace_ctx.send_stamps r)
+
 (* --- Attribution: segments cover delivery latency exactly --- *)
 
 let mk_span ?(entity = 1) ?(incarnation = 0) ?(src = 0) ?(seq = 1)
@@ -464,7 +506,7 @@ let test_cluster_crash_no_stitch () =
 
 let test_recorder_abandon_unit () =
   let reg = Registry.create () in
-  let r = Trace_ctx.create ~registry:reg ~salt:3L () in
+  let r = Trace_ctx.create ~registry:reg ~salt:3L ~members:2 () in
   let data = true in
   Trace_ctx.on_send r ~src:0 ~seq:1 ~data ~now:0;
   Trace_ctx.on_send r ~src:0 ~seq:2 ~data ~now:1;
@@ -682,6 +724,8 @@ let () =
       ( "equivalence",
         Alcotest.test_case "histograms independent of span keeping" `Quick
           test_histograms_independent_of_spans
+        :: Alcotest.test_case "first-send stamps retire" `Quick
+             test_send_stamps_retire
         :: qsuite [ prop_tracing_equivalent ] );
       ( "attribution",
         [

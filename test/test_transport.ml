@@ -9,6 +9,7 @@ module Pdu = Repro_pdu.Pdu
 module Simtime = Repro_sim.Simtime
 module Trace_ctx = Repro_obs.Trace_ctx
 module Monoclock = Repro_util.Monoclock
+module Oracle = Repro_harness.Oracle
 
 let check = Alcotest.check
 let int_t = Alcotest.int
@@ -251,6 +252,104 @@ let test_view_change_cuts_recorder () =
           sp.src sp.seq sp.entity (sp.t_deliver - sp.t_send) wall_us)
     post
 
+(* Ingress is batched per step: everything a member's socket holds when
+   [step] drains it reaches the entity as one [receive_batch], so the
+   confirmation decision sees the whole burst. Timeouts are long enough
+   that no timer fires; Paranoid runs the step checker after every
+   protocol step, which makes each receive pass observable. *)
+let test_one_batch_per_step () =
+  let config =
+    {
+      Config.default with
+      Config.defer = Config.Deferred { timeout = Simtime.of_ms 60_000 };
+      ret_retry_timeout = Simtime.of_ms 60_000;
+      ret_backoff_max = Simtime.of_ms 60_000;
+      check_level = Config.Paranoid;
+    }
+  in
+  let t = Udp.create ~config ~n:6 () in
+  Fun.protect ~finally:(fun () -> Udp.close t) @@ fun () ->
+  let e0 = Udp.entity t 0 in
+  let accepted = ref 0 and counted = ref 0 and passes = ref 0 in
+  Entity.add_observer e0 (function
+    | Entity.Accepted d when d.src <> 0 -> incr accepted
+    | _ -> ());
+  (* A pass that accepted peer PDUs; member 0's own confirmation coming
+     back on the loopback is not ingress. *)
+  Entity.set_step_checker e0 (fun () ->
+      if !accepted > !counted then begin
+        incr passes;
+        counted := !accepted
+      end);
+  (* Loopback [sendto] queues each datagram on member 0's socket before
+     [submit] returns. *)
+  for src = 1 to 5 do
+    Udp.submit t ~src (Printf.sprintf "from-%d" src)
+  done;
+  check int_t "nothing received before the step" 0 !accepted;
+  ignore (Udp.step t ~timeout_s:1.);
+  check int_t "one receive pass" 1 !passes;
+  check int_t "all five PDUs accepted" 5 !accepted
+
+(* Every member delivers every message exactly once, FIFO per source, and
+   in causal order read from each PDU's own ACK vector: [p]'s sender had
+   accepted [p.ack.(l)] PDUs of source [l], so each data PDU from [l] with
+   a lower SEQ must be delivered before [p]. *)
+let check_causal_deliveries t ~n ~per =
+  let tag (d : Pdu.data) = (d.src lsl 20) lor d.seq in
+  let key_of tag = (tag lsr 20, tag land 0xfffff) in
+  let acks = Hashtbl.create 256 in
+  let deliveries =
+    Array.init n (fun q ->
+        List.map
+          (fun (d : Pdu.data) ->
+            Hashtbl.replace acks (tag d) d.ack;
+            tag d)
+          (Udp.deliveries t ~entity:q))
+  in
+  let expected_tags = List.of_seq (Hashtbl.to_seq_keys acks) in
+  check int_t "distinct messages" (n * per) (List.length expected_tags);
+  let precedes a b =
+    let la, sa = key_of a and lb, _ = key_of b in
+    la <> lb && sa < (Hashtbl.find acks b).(la)
+  in
+  let report =
+    Oracle.check_deliveries ~expected_tags ~precedes ~key_of ~deliveries
+  in
+  if not (Oracle.ok report) then Alcotest.failf "%a" Oracle.pp_report report
+
+(* The benchmark's scale in a closed loop: 16 members, each keeping 2 of
+   its own messages outstanding until it has delivered them itself. *)
+let test_closed_loop_n16 () =
+  let n = 16 and per = 8 and outstanding = 2 in
+  let t = Udp.create ~n () in
+  Fun.protect ~finally:(fun () -> Udp.close t) @@ fun () ->
+  let sent = Array.make n 0 and freed = Array.make n 0 in
+  for i = 0 to n - 1 do
+    Entity.add_observer (Udp.entity t i) (function
+      | Entity.Acknowledged d when d.src = i && d.payload <> "" ->
+        freed.(i) <- freed.(i) + 1
+      | _ -> ())
+  done;
+  let refill i =
+    while sent.(i) < per && sent.(i) - freed.(i) < outstanding do
+      Udp.submit t ~src:i (Printf.sprintf "%d-%d" i sent.(i));
+      sent.(i) <- sent.(i) + 1
+    done
+  in
+  let deadline = Monoclock.now_s () +. 30. in
+  let all_sent () = Array.for_all (fun k -> k = per) sent in
+  while (not (all_sent ())) && Monoclock.now_s () < deadline do
+    for i = 0 to n - 1 do
+      refill i
+    done;
+    ignore (Udp.step t ~timeout_s:0.005)
+  done;
+  check bool_t "every message submitted" true (all_sent ());
+  check bool_t "quiescent" true (Udp.run_until_quiescent t ~max_seconds:30.);
+  check_causal_deliveries t ~n ~per;
+  check int_t "no decode errors" 0 (Udp.decode_errors t)
+
 let test_close_is_idempotent () =
   let t = Udp.create ~n:2 () in
   Udp.close t;
@@ -275,6 +374,9 @@ let () =
             test_view_change_requires_reconciliation;
           Alcotest.test_case "view change cuts the recorder" `Quick
             test_view_change_cuts_recorder;
+          Alcotest.test_case "one receive batch per step" `Quick
+            test_one_batch_per_step;
+          Alcotest.test_case "closed loop n=16" `Quick test_closed_loop_n16;
           Alcotest.test_case "close idempotent" `Quick test_close_is_idempotent;
         ] );
     ]
