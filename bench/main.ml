@@ -464,12 +464,12 @@ let e5 () =
   let config = Cluster.default_config ~n in
   let cluster = Cluster.create config in
   let dropped = ref false in
-  Network.set_drop_filter (Cluster.network cluster) (fun ~dst ~src pdu ->
+  Network.set_fault_hook (Cluster.network cluster) (fun ~dst ~src pdu ->
       match pdu with
       | Pdu.Data d when dst = 2 && src = 0 && d.seq = 1 && not !dropped ->
         dropped := true;
-        true
-      | Pdu.Data _ | Pdu.Ret _ | Pdu.Ctl _ -> false);
+        []
+      | Pdu.Data _ | Pdu.Ret _ | Pdu.Ctl _ -> [ pdu ]);
   Cluster.submit_at cluster ~at:Simtime.zero ~src:0 "question";
   Cluster.submit_at cluster ~at:(Simtime.of_ms 5) ~src:1 "answer";
   Cluster.run cluster ~max_events;
@@ -480,12 +480,12 @@ let e5 () =
   let net = Network.create engine (Network.default_config topology) in
   let cb = Cbcast.create engine net ~n in
   let dropped = ref false in
-  Network.set_drop_filter net (fun ~dst ~src _ ->
+  Network.set_fault_hook net (fun ~dst ~src m ->
       if dst = 2 && src = 0 && not !dropped then begin
         dropped := true;
-        true
+        []
       end
-      else false);
+      else [ m ]);
   Cbcast.broadcast cb ~src:0 ~tag:1 "question";
   Engine.schedule engine ~at:(Simtime.of_ms 5) (fun () ->
       Cbcast.broadcast cb ~src:1 ~tag:2 "answer");
@@ -646,15 +646,17 @@ let e8 () =
     let config = { (Cluster.default_config ~n) with Cluster.protocol } in
     let cluster = Cluster.create config in
     let engine = Cluster.engine cluster in
-    Network.set_drop_filter (Cluster.network cluster) (fun ~dst ~src pdu ->
+    Network.set_fault_hook (Cluster.network cluster) (fun ~dst ~src pdu ->
         let before_horizon =
           Simtime.compare (Engine.now engine) horizon < 0
         in
         match pdu with
-        | Pdu.Data d when src = 0 && d.seq = 1 && (dst = 2 || dst = 3) ->
-          before_horizon
-        | Pdu.Data d when src = 1 && d.seq = 1 && dst = 0 -> before_horizon
-        | Pdu.Data _ | Pdu.Ret _ | Pdu.Ctl _ -> false);
+        | Pdu.Data d
+          when before_horizon && src = 0 && d.seq = 1 && (dst = 2 || dst = 3) ->
+          []
+        | Pdu.Data d when before_horizon && src = 1 && d.seq = 1 && dst = 0 ->
+          []
+        | Pdu.Data _ | Pdu.Ret _ | Pdu.Ctl _ -> [ pdu ]);
     Cluster.submit_at cluster ~at:Simtime.zero ~src:0 "p";
     Cluster.submit_at cluster ~at:(Simtime.of_ms 3) ~src:1 "x";
     Cluster.submit_at cluster ~at:(Simtime.of_ms 6) ~src:2 "q";

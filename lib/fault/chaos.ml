@@ -28,6 +28,10 @@ type outcome = {
   ok : bool;
 }
 
+(* The injector's stream is salted away from the seed the cluster's own
+   medium and entities draw from. *)
+let injector_seed seed = seed lxor 0xfa017
+
 let schedule_workload cluster ~n ~per_entity =
   (* Deterministic spread over the first ~50ms, staggered per entity so
      no two submissions share an instant. Submissions landing while the
@@ -85,7 +89,7 @@ let run ?(n = 4) ?(seed = 1) ?(per_entity = 6)
   in
   let cfg = { cfg with seed; instrument = Some reg; protocol } in
   let cluster = Cluster.create cfg in
-  let injector = Injector.create ~wire ~n ~seed () in
+  let injector = Injector.create ~wire ~n ~seed:(injector_seed seed) () in
   Network.set_fault_hook (Cluster.network cluster) (Injector.on_pdu injector);
   Network.set_service_hook (Cluster.network cluster)
     (Injector.service_delay injector);
@@ -225,14 +229,15 @@ let run_churn ?(max_nodes = 5) ?(seed = 1) ?(per_member = 6) ?registry
   (* All loss/partition/corruption/duplication state lives in the seeded
      injector (the group's own medium is lossless), so a (plan, seed)
      pair replays bit-identically — control frames included, via the
-     opaque-copy verdict. *)
-  let injector = Injector.create ~n:max_nodes ~seed () in
+     opaque-frame renderer. *)
+  let injector =
+    Injector.create ~n:max_nodes ~seed:(injector_seed seed) ()
+  in
   Network.set_fault_hook (Group.network g) (fun ~dst ~src pkt ->
       match pkt with
       | Group.Proto p ->
         List.map (fun q -> Group.Proto q) (Injector.on_pdu injector ~dst ~src p)
-      | Group.Control _ ->
-        List.init (Injector.copies injector ~dst ~src) (fun _ -> pkt));
+      | Group.Control _ -> Injector.on_frame injector ~dst ~src pkt);
   Network.set_service_hook (Group.network g) (Injector.service_delay injector);
   (* Workload: every endpoint keeps trying to submit through the whole
      faulted window; payloads are stamped with the submitter's epoch so

@@ -37,7 +37,7 @@ let create ?(wire = Config.default.Config.wire) ~n ~seed () =
   {
     n;
     wire;
-    rng = Prng.create ~seed:(seed lxor 0xfa017);
+    rng = Prng.create ~seed;
     down = Array.make n false;
     group = None;
     loss = 0.;
@@ -56,8 +56,10 @@ let n t = t.n
 
 let apply t action =
   match (action : Plan.action) with
-  | Crash e -> t.down.(e) <- true
-  | Restart e -> t.down.(e) <- false
+  (* Membership is silence on the medium: a node that has left (or not
+     yet joined) is down. Group changes are the churn runner's job. *)
+  | Crash e | Leave e -> t.down.(e) <- true
+  | Restart e | Join e -> t.down.(e) <- false
   | Partition groups ->
     let g = Array.make t.n (-1) in
     List.iteri (fun gi members -> List.iter (fun e -> g.(e) <- gi) members) groups;
@@ -68,9 +70,6 @@ let apply t action =
   | Duplicate p -> t.duplicate <- p
   | Stall { entity; factor } -> t.stall.(entity) <- factor
   | Unstall e -> t.stall.(e) <- 1
-  (* Membership is the runner's job (Chaos.run_churn pairs these with
-     Group.propose); the medium itself is unaffected. *)
-  | Join _ | Leave _ -> ()
 
 let is_down t e = t.down.(e)
 
@@ -97,23 +96,52 @@ let separated t src dst =
   | None -> false
   | Some g -> g.(src) < 0 || g.(dst) < 0 || g.(src) <> g.(dst)
 
-(* The shared verdict: which fault, if any, claims this copy. Draws are
-   made in a fixed order so a (plan, seed) pair replays identically. *)
-type verdict = Drop_crash | Drop_partition | Drop_loss | Corrupted | Pass of int
+(* The one verdict: which fault, if any, claims this copy. Draws are made
+   in a fixed order so a (plan, seed) pair replays identically, and a
+   corruption draws the flipped bit's position here too, so every
+   renderer consumes the same stream whether or not it has bits to flip. *)
+type verdict = Drop | Corrupted of int | Pass | Twice
 
 let verdict t ~dst ~src =
-  if t.down.(src) || t.down.(dst) then Drop_crash
-  else if separated t src dst then Drop_partition
-  else if t.loss > 0. && Prng.bernoulli t.rng ~p:t.loss then Drop_loss
-  else if t.corrupt > 0. && Prng.bernoulli t.rng ~p:t.corrupt then Corrupted
-  else if t.duplicate > 0. && Prng.bernoulli t.rng ~p:t.duplicate then Pass 2
-  else Pass 1
+  if t.down.(src) || t.down.(dst) then begin
+    t.crash_drops <- t.crash_drops + 1;
+    Drop
+  end
+  else if separated t src dst then begin
+    t.partition_drops <- t.partition_drops + 1;
+    Drop
+  end
+  else if t.loss > 0. && Prng.bernoulli t.rng ~p:t.loss then begin
+    t.loss_drops <- t.loss_drops + 1;
+    Drop
+  end
+  else if t.corrupt > 0. && Prng.bernoulli t.rng ~p:t.corrupt then
+    Corrupted (Prng.int t.rng max_int)
+  else if t.duplicate > 0. && Prng.bernoulli t.rng ~p:t.duplicate then begin
+    t.duplicated <- t.duplicated + 1;
+    Twice
+  end
+  else Pass
 
-let flip_random_bit t bytes =
+(* The verdict rendered as copies of one payload. [corrupt draw] is the
+   only payload-specific part: it returns whether the flip is caught (by
+   the codec here or the receiver's decoder) and the copies to offer. *)
+let render t ~corrupt ~dst ~src x =
+  match verdict t ~dst ~src with
+  | Drop -> []
+  | Pass -> [ x ]
+  | Twice -> [ x; x ]
+  | Corrupted draw ->
+    let caught, copies = corrupt draw in
+    if caught then t.corrupt_dropped <- t.corrupt_dropped + 1
+    else t.corrupt_passed <- t.corrupt_passed + 1;
+    copies
+
+let flip_bit draw bytes =
   let bytes = Bytes.copy bytes in
   let nbits = 8 * Bytes.length bytes in
   if nbits > 0 then begin
-    let bit = Prng.int t.rng nbits in
+    let bit = draw mod nbits in
     let byte = bit / 8 in
     Bytes.set bytes byte
       (Char.chr (Char.code (Bytes.get bytes byte) lxor (1 lsl (bit mod 8))))
@@ -121,81 +149,31 @@ let flip_random_bit t bytes =
   bytes
 
 let on_pdu t ~dst ~src pdu =
-  match verdict t ~dst ~src with
-  | Drop_crash ->
-    t.crash_drops <- t.crash_drops + 1;
-    []
-  | Drop_partition ->
-    t.partition_drops <- t.partition_drops + 1;
-    []
-  | Drop_loss ->
-    t.loss_drops <- t.loss_drops + 1;
-    []
-  | Corrupted -> begin
-    (* Round-trip through the wire format with one bit flipped: the
-       codec's checksum is what stands between a flipped bit and the
-       protocol, so let it render the verdict. The frame matches the
-       configured wire version; decoding dispatches on the version byte
-       as the real ingress path does. *)
-    let frame =
-      match t.wire with
-      | Config.V1 -> Codec.encode
-      | Config.V2 -> Codec.encode_v2
-    in
-    match Codec.decode_any (flip_random_bit t (frame pdu)) with
-    | Error _ ->
-      t.corrupt_dropped <- t.corrupt_dropped + 1;
-      []
-    | Ok mangled ->
-      t.corrupt_passed <- t.corrupt_passed + 1;
-      mangled
-  end
-  | Pass 1 -> [ pdu ]
-  | Pass _ ->
-    t.duplicated <- t.duplicated + 1;
-    [ pdu; pdu ]
+  render t ~dst ~src pdu ~corrupt:(fun draw ->
+      (* Round-trip through the wire format with one bit flipped: the
+         codec's checksum is what stands between a flipped bit and the
+         protocol, so let it render the verdict. The frame matches the
+         configured wire version; decoding dispatches on the version byte
+         as the real ingress path does. *)
+      let frame =
+        match t.wire with
+        | Config.V1 -> Codec.encode
+        | Config.V2 -> Codec.encode_v2
+      in
+      match Codec.decode_any (flip_bit draw (frame pdu)) with
+      | Error _ -> (true, [])
+      | Ok mangled -> (false, mangled))
 
 let on_datagram t ~dst ~src bytes =
-  match verdict t ~dst ~src with
-  | Drop_crash ->
-    t.crash_drops <- t.crash_drops + 1;
-    []
-  | Drop_partition ->
-    t.partition_drops <- t.partition_drops + 1;
-    []
-  | Drop_loss ->
-    t.loss_drops <- t.loss_drops + 1;
-    []
-  | Corrupted ->
-    (* Hand the mangled datagram through: the receiver's decode path is
-       expected to reject it (counted there as a decode error). *)
-    t.corrupt_dropped <- t.corrupt_dropped + 1;
-    [ flip_random_bit t bytes ]
-  | Pass 1 -> [ bytes ]
-  | Pass _ ->
-    t.duplicated <- t.duplicated + 1;
-    [ bytes; bytes ]
+  (* Hand the mangled datagram through: the receiver's decode path is
+     expected to reject it (counted there as a decode error). *)
+  render t ~dst ~src bytes ~corrupt:(fun draw ->
+      (true, [ flip_bit draw bytes ]))
 
-let copies t ~dst ~src =
-  match verdict t ~dst ~src with
-  | Drop_crash ->
-    t.crash_drops <- t.crash_drops + 1;
-    0
-  | Drop_partition ->
-    t.partition_drops <- t.partition_drops + 1;
-    0
-  | Drop_loss ->
-    t.loss_drops <- t.loss_drops + 1;
-    0
-  | Corrupted ->
-    (* An opaque frame can't be bit-flipped-and-redecoded here; model the
-       receiver's magic/shape check rejecting the mangled frame. *)
-    t.corrupt_dropped <- t.corrupt_dropped + 1;
-    0
-  | Pass 1 -> 1
-  | Pass _ ->
-    t.duplicated <- t.duplicated + 1;
-    2
+let on_frame t ~dst ~src frame =
+  (* An opaque frame can't be bit-flipped-and-redecoded here; model the
+     receiver's check rejecting the mangled frame. *)
+  render t ~dst ~src frame ~corrupt:(fun _ -> (true, []))
 
 let service_delay t ~dst d = d * t.stall.(dst)
 

@@ -29,10 +29,13 @@ type action =
       (** Multiply the entity's per-message service time by [factor]. *)
   | Unstall of int  (** Restore normal service time. *)
   | Join of int
-      (** Membership churn (the churn runner {!Chaos.run_churn} only):
-          the node proposes to join the group and is bootstrapped by
-          checkpoint state transfer. *)
-  | Leave of int  (** The member proposes a voluntary leave. *)
+      (** Membership churn. To the medium ({!Injector.apply}) the node
+          comes up; the churn runner {!Chaos.run_churn} instead has it
+          propose to join the group, bootstrapped by checkpoint state
+          transfer. *)
+  | Leave of int
+      (** To the medium the node goes silent; under {!Chaos.run_churn}
+          the member proposes a voluntary leave. *)
 
 type event = { at : Repro_sim.Simtime.t; action : action }
 
@@ -52,6 +55,7 @@ val validate : n:int -> t -> unit
     groups that overlap, unsorted events, or an event at/after the
     horizon. *)
 
+val pp_action : Format.formatter -> action -> unit
 val pp : Format.formatter -> t -> unit
 
 (** {2 Built-in plans} — all designed for an [n = 4] cluster. *)

@@ -46,7 +46,10 @@ val total_order_agreement : deliveries:int list array -> bool
 (** {2 CO-cluster report} *)
 
 type report = {
-  expected : int;  (** Data messages the workload submitted. *)
+  expected : int;
+      (** Data messages actually sent ([expected_tags], e.g.
+          {!Repro_core.Cluster.data_tags}); a submission skipped or never
+          sent does not count. *)
   delivered_per_entity : int array;
   missing : (int * int) list;
   dups : violation list;

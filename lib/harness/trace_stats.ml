@@ -7,7 +7,6 @@ type per_entity = {
   handled : int;
   dropped_overrun : int;
   dropped_injected : int;
-  dropped_filtered : int;
   dropped_faulted : int;
   delivered : int;
   mean_sojourn_ms : float;
@@ -20,7 +19,6 @@ let per_entity trace ~n =
   and handled = Array.make n 0
   and over = Array.make n 0
   and inj = Array.make n 0
-  and filt = Array.make n 0
   and faulted = Array.make n 0
   and delivered = Array.make n 0
   and sojourns = Array.make n []
@@ -46,7 +44,6 @@ let per_entity trace ~n =
         match reason with
         | Trace.Overrun -> over.(dst) <- over.(dst) + 1
         | Trace.Injected -> inj.(dst) <- inj.(dst) + 1
-        | Trace.Filtered -> filt.(dst) <- filt.(dst) + 1
         | Trace.Faulted -> faulted.(dst) <- faulted.(dst) + 1)
       | Trace.Delivered { entity; _ } when entity < n ->
         delivered.(entity) <- delivered.(entity) + 1
@@ -62,7 +59,6 @@ let per_entity trace ~n =
         handled = handled.(entity);
         dropped_overrun = over.(entity);
         dropped_injected = inj.(entity);
-        dropped_filtered = filt.(entity);
         dropped_faulted = faulted.(entity);
         delivered = delivered.(entity);
         mean_sojourn_ms = s.Repro_util.Stats.mean;
@@ -71,10 +67,7 @@ let per_entity trace ~n =
       })
 
 let loss_rate p =
-  let dropped =
-    p.dropped_overrun + p.dropped_injected + p.dropped_filtered
-    + p.dropped_faulted
-  in
+  let dropped = p.dropped_overrun + p.dropped_injected + p.dropped_faulted in
   let offered = p.arrived + dropped in
   if offered = 0 then 0. else float_of_int dropped /. float_of_int offered
 
@@ -82,18 +75,17 @@ let total_drops trace = List.length (Trace.drops trace)
 
 let drop_breakdown trace =
   List.fold_left
-    (fun (o, i, f, x) reason ->
+    (fun (o, i, x) reason ->
       match reason with
-      | Trace.Overrun -> (o + 1, i, f, x)
-      | Trace.Injected -> (o, i + 1, f, x)
-      | Trace.Filtered -> (o, i, f + 1, x)
-      | Trace.Faulted -> (o, i, f, x + 1))
-    (0, 0, 0, 0) (Trace.drops trace)
+      | Trace.Overrun -> (o + 1, i, x)
+      | Trace.Injected -> (o, i + 1, x)
+      | Trace.Faulted -> (o, i, x + 1))
+    (0, 0, 0) (Trace.drops trace)
 
 let pp_per_entity ppf p =
   Format.fprintf ppf
-    "entity %d: arrived=%d handled=%d drops(ovr/inj/filt/fault)=%d/%d/%d/%d \
+    "entity %d: arrived=%d handled=%d drops(ovr/inj/fault)=%d/%d/%d \
      delivered=%d sojourn mean=%.3fms p50=%.3fms p99=%.3fms"
     p.entity p.arrived p.handled p.dropped_overrun p.dropped_injected
-    p.dropped_filtered p.dropped_faulted p.delivered p.mean_sojourn_ms
+    p.dropped_faulted p.delivered p.mean_sojourn_ms
     p.p50_sojourn_ms p.p99_sojourn_ms

@@ -10,8 +10,7 @@ type per_entity = {
   handled : int;
   dropped_overrun : int;
   dropped_injected : int;
-  dropped_filtered : int;
-  dropped_faulted : int;  (** Discarded by the chaos fault-injection hook. *)
+  dropped_faulted : int;  (** Discarded by the medium's fault hook. *)
   delivered : int;
   mean_sojourn_ms : float;
       (** Mean time a transmission spent between arriving in the inbox and
@@ -28,7 +27,7 @@ val loss_rate : per_entity -> float
 
 val total_drops : Repro_sim.Trace.t -> int
 
-val drop_breakdown : Repro_sim.Trace.t -> int * int * int * int
-(** (overrun, injected, filtered, faulted). *)
+val drop_breakdown : Repro_sim.Trace.t -> int * int * int
+(** (overrun, injected, faulted). *)
 
 val pp_per_entity : Format.formatter -> per_entity -> unit

@@ -1,6 +1,8 @@
 module Simtime = Repro_sim.Simtime
 module Engine = Repro_sim.Engine
 module Network = Repro_sim.Network
+module Plan = Repro_fault.Plan
+module Injector = Repro_fault.Injector
 module Cluster = Repro_core.Cluster
 module Causality = Repro_clock.Causality
 module Workload = Repro_harness.Workload
@@ -52,6 +54,41 @@ let finish ~compiled ~protocol ~oracle ~causal_ok ~stalled ~submitted ~events
   in
   { protocol; curve; oracle; causal_ok; stalled; submitted; events; latencies_ms }
 
+(* One fault interpreter for every protocol: a seeded injector on the
+   medium's fault and service hooks replays the compiled plan. Nodes that
+   only join later start down, as if they had left. [render] turns the
+   injector's verdict into copies of this protocol's payload. *)
+let arm ~engine ~(compiled : Scenario.compiled) ~seed ~render net =
+  let inj = Injector.create ~n:compiled.Scenario.scenario.Scenario.n ~seed () in
+  List.iter
+    (fun e -> Injector.apply inj (Plan.Leave e))
+    compiled.Scenario.initially_down;
+  List.iter
+    (fun { Plan.at; action } ->
+      Engine.schedule engine ~at (fun () -> Injector.apply inj action))
+    compiled.Scenario.plan.Plan.events;
+  Network.set_fault_hook net (render inj);
+  Network.set_service_hook net (Injector.service_delay inj);
+  inj
+
+(* Schedule the workload, skipping sources that are down at fire time; the
+   skip schedule is identical across protocols because the injector
+   replays the same plan. Returns the submit-time table (tag -> send
+   instant). *)
+let schedule_workload ~engine ~inj ~(compiled : Scenario.compiled) ~broadcast =
+  let sent = ref [] in
+  let next_tag = ref 0 in
+  List.iter
+    (fun { Workload.at; src; payload } ->
+      Engine.schedule engine ~at (fun () ->
+          if not (Injector.is_down inj src) then begin
+            incr next_tag;
+            sent := (!next_tag, at) :: !sent;
+            broadcast ~src ~tag:!next_tag payload
+          end))
+    compiled.Scenario.workload;
+  sent
+
 let run_co ~max_events ~(compiled : Scenario.compiled) ~seed =
   let sc = compiled.Scenario.scenario in
   let n = sc.Scenario.n in
@@ -60,16 +97,12 @@ let run_co ~max_events ~(compiled : Scenario.compiled) ~seed =
   in
   let cluster = Cluster.create cfg in
   let engine = Cluster.engine cluster in
-  let drv =
-    Driver.create ~engine ~n ~seed ~plan:compiled.Scenario.plan
-      ~initially_down:compiled.Scenario.initially_down
-  in
-  Driver.arm drv (Cluster.network cluster);
-  List.iter
-    (fun { Workload.at; src; payload } ->
-      Engine.schedule engine ~at (fun () ->
-          if not (Driver.is_down drv src) then Cluster.submit cluster ~src payload))
-    compiled.Scenario.workload;
+  (* CO's copies are rendered through the codec, as in chaos runs. *)
+  let net = Cluster.network cluster in
+  let inj = arm ~engine ~compiled ~seed ~render:Injector.on_pdu net in
+  ignore
+    (schedule_workload ~engine ~inj ~compiled ~broadcast:(fun ~src ~tag:_ p ->
+         Cluster.submit cluster ~src p));
   Engine.run engine ~until:(drain_until compiled) ~max_events;
   let tags = Cluster.data_tags cluster in
   let observers = compiled.Scenario.observers in
@@ -124,23 +157,6 @@ let baseline_net ~(compiled : Scenario.compiled) ~seed engine =
   in
   Network.create engine cfg
 
-(* Schedule the workload, skipping sources that are down at fire time; the
-   skip schedule is identical across protocols because the driver replays
-   the same plan. Returns the submit-time table (tag -> send instant). *)
-let schedule_workload ~engine ~drv ~(compiled : Scenario.compiled) ~broadcast =
-  let sent = ref [] in
-  let next_tag = ref 0 in
-  List.iter
-    (fun { Workload.at; src; payload } ->
-      Engine.schedule engine ~at (fun () ->
-          if not (Driver.is_down drv src) then begin
-            incr next_tag;
-            sent := (!next_tag, at) :: !sent;
-            broadcast ~src ~tag:!next_tag payload
-          end))
-    compiled.Scenario.workload;
-  sent
-
 let baseline_latencies ~sent ~observers ~deliveries =
   let send_at = !sent in
   List.concat_map
@@ -159,13 +175,9 @@ let run_cbcast ~max_events ~(compiled : Scenario.compiled) ~seed =
   let engine = Engine.create () in
   let net = baseline_net ~compiled ~seed engine in
   let cb = Cbcast.create engine net ~n in
-  let drv =
-    Driver.create ~engine ~n ~seed ~plan:compiled.Scenario.plan
-      ~initially_down:compiled.Scenario.initially_down
-  in
-  Driver.arm drv net;
+  let inj = arm ~engine ~compiled ~seed ~render:Injector.on_frame net in
   let sent =
-    schedule_workload ~engine ~drv ~compiled ~broadcast:(fun ~src ~tag payload ->
+    schedule_workload ~engine ~inj ~compiled ~broadcast:(fun ~src ~tag payload ->
         Cbcast.broadcast cb ~src ~tag payload)
   in
   Engine.run engine ~until:(drain_until compiled) ~max_events;
@@ -189,13 +201,9 @@ let run_tobcast ~max_events ~(compiled : Scenario.compiled) ~seed =
   let engine = Engine.create () in
   let net = baseline_net ~compiled ~seed engine in
   let tb = Tobcast.create engine net ~n ~retry:(Simtime.of_ms 10) in
-  let drv =
-    Driver.create ~engine ~n ~seed ~plan:compiled.Scenario.plan
-      ~initially_down:compiled.Scenario.initially_down
-  in
-  Driver.arm drv net;
+  let inj = arm ~engine ~compiled ~seed ~render:Injector.on_frame net in
   let sent =
-    schedule_workload ~engine ~drv ~compiled ~broadcast:(fun ~src ~tag payload ->
+    schedule_workload ~engine ~inj ~compiled ~broadcast:(fun ~src ~tag payload ->
         Tobcast.broadcast tb ~src ~tag payload)
   in
   Engine.run engine ~until:(drain_until compiled) ~max_events;

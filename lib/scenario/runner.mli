@@ -1,9 +1,12 @@
 (** Run a compiled scenario under each protocol and measure PAC curves.
 
     One run: build the protocol's cluster over the compiled topology, arm
-    the scenario {!Driver} on its network, schedule the workload (skipping
-    submissions whose source is down at fire time — identically across
-    protocols, since the down-schedule is the same), drive the engine to
+    a seeded {!Repro_fault.Injector} on its medium to replay the compiled
+    plan (the same interpreter for every protocol: CO renders corruption
+    through its codec, the baselines see a corrupted copy as a drop),
+    schedule the workload (skipping submissions whose source is down at
+    fire time — identically across protocols, since the down-schedule is
+    the same), drive the engine to
     twice the scenario horizon, and fold every observer's deliveries into
     a {!Repro_harness.Pac} curve. CO runs additionally get the exact
     causal-order oracle over the observers, so the acceptance property
@@ -39,7 +42,7 @@ val run :
   protocol ->
   result
 (** [max_events] defaults to 5 million. The [seed] feeds the network and
-    the fault driver; equal [(compiled, seed, protocol)] triples produce
+    the fault injector; equal [(compiled, seed, protocol)] triples produce
     structurally equal results. *)
 
 val deadline_grid : Scenario.compiled -> result list -> float list

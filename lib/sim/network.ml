@@ -23,7 +23,6 @@ type 'a t = {
   rng : Repro_util.Prng.t;
   trace : Trace.t;
   mutable next_uid : int;
-  mutable drop_filter : (dst:int -> src:int -> 'a -> bool) option;
   mutable fault_hook : (dst:int -> src:int -> 'a -> 'a list) option;
   mutable service_hook : (dst:int -> Simtime.t -> Simtime.t) option;
   mutable sent_copies : int;
@@ -60,7 +59,6 @@ let create engine config =
     rng = Repro_util.Prng.create ~seed:config.seed;
     trace = Trace.create ();
     next_uid = 0;
-    drop_filter = None;
     fault_hook = None;
     service_hook = None;
     sent_copies = 0;
@@ -104,16 +102,7 @@ let rec start_service t ep =
 let enqueue_copy t ~dst (m : 'a inflight) =
   let now = Engine.now t.engine in
   let ep = t.endpoints.(dst) in
-  let filtered =
-    match t.drop_filter with
-    | Some f -> f ~dst ~src:m.src m.payload
-    | None -> false
-  in
-  if filtered then begin
-    t.lost_copies <- t.lost_copies + 1;
-    Trace.record t.trace (Dropped { time = now; dst; uid = m.uid; reason = Filtered })
-  end
-  else if Repro_util.Prng.bernoulli t.rng ~p:t.config.loss_prob then begin
+  if Repro_util.Prng.bernoulli t.rng ~p:t.config.loss_prob then begin
     t.lost_copies <- t.lost_copies + 1;
     Trace.record t.trace (Dropped { time = now; dst; uid = m.uid; reason = Injected })
   end
@@ -186,8 +175,6 @@ let unicast t ~src ~dst payload =
 
 let available_buffer t id = Repro_util.Ring_buffer.available t.endpoints.(id).inbox
 
-let set_drop_filter t f = t.drop_filter <- Some f
-let clear_drop_filter t = t.drop_filter <- None
 let set_fault_hook t f = t.fault_hook <- Some f
 let clear_fault_hook t = t.fault_hook <- None
 let set_service_hook t f = t.service_hook <- Some f

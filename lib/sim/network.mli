@@ -14,8 +14,9 @@
       (loopback is lossless: an entity never overruns on its own PDU, it
       already holds it in its sending log).
 
-    For experiments the medium also supports iid loss injection and a
-    deterministic drop filter. *)
+    For experiments the medium also supports iid loss injection and one
+    per-copy fault hook ({!set_fault_hook}), the single point where
+    copies are dropped, mangled or duplicated on purpose. *)
 
 type 'a t
 
@@ -60,21 +61,16 @@ val available_buffer : 'a t -> int -> int
 (** Free inbox units at an endpoint right now — what the protocol advertises
     in the BUF field. *)
 
-val set_drop_filter : 'a t -> (dst:int -> src:int -> 'a -> bool) -> unit
-(** [set_drop_filter net f]: an arriving copy is deterministically discarded
-    when [f ~dst ~src m] is [true] (recorded as [Filtered]). Replaces any
-    previous filter. *)
-
-val clear_drop_filter : 'a t -> unit
-
 val set_fault_hook : 'a t -> (dst:int -> src:int -> 'a -> 'a list) -> unit
 (** [set_fault_hook net f]: every non-loopback arriving copy is first mapped
     through [f ~dst ~src m], which returns the list of copies actually
     offered to the endpoint: [[]] discards it (recorded as [Faulted]), [[m]]
     passes it through, a mangled payload models corruption and more than one
-    entry models duplication. The surviving copies then face the normal drop
-    filter, iid loss and bounded inbox. This is the injection point of the
-    chaos layer ({!Repro_fault.Injector}). Replaces any previous hook. *)
+    entry models duplication. The surviving copies then face iid loss and
+    the bounded inbox. Loopback copies bypass the hook. This is the
+    injection point of {!Repro_fault.Injector} (chaos plans and compiled
+    scenarios) and of tests that script one exact loss. Replaces any
+    previous hook. *)
 
 val clear_fault_hook : 'a t -> unit
 

@@ -1,4 +1,4 @@
-type drop_reason = Overrun | Injected | Filtered | Faulted
+type drop_reason = Overrun | Injected | Faulted
 
 type event =
   | Submitted of { time : Simtime.t; src : int; tag : int }
@@ -57,7 +57,6 @@ let drops t =
 let pp_reason ppf = function
   | Overrun -> Format.pp_print_string ppf "overrun"
   | Injected -> Format.pp_print_string ppf "injected"
-  | Filtered -> Format.pp_print_string ppf "filtered"
   | Faulted -> Format.pp_print_string ppf "faulted"
 
 let pp_event ppf = function
@@ -91,13 +90,11 @@ let dump ppf t =
 let reason_token = function
   | Overrun -> "overrun"
   | Injected -> "injected"
-  | Filtered -> "filtered"
   | Faulted -> "faulted"
 
 let reason_of_token = function
   | "overrun" -> Overrun
   | "injected" -> Injected
-  | "filtered" -> Filtered
   | "faulted" -> Faulted
   | s -> failwith (Printf.sprintf "unknown drop reason %S" s)
 

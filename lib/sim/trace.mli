@@ -8,10 +8,10 @@
 type drop_reason =
   | Overrun  (** Receiver inbox was full — the MC network's organic loss. *)
   | Injected  (** iid loss injection. *)
-  | Filtered  (** Deterministic test drop-filter. *)
   | Faulted
-      (** Discarded by the chaos fault-injection hook (partition, loss
-          burst, corruption, crash). *)
+      (** Discarded by the medium's fault hook
+          ({!Network.set_fault_hook}): a fault plan's crash, partition,
+          loss or corruption, or a test's scripted drop. *)
 
 type event =
   | Submitted of { time : Simtime.t; src : int; tag : int }

@@ -83,10 +83,11 @@ let test_cbcast_stalls_under_loss () =
      causally-dependent answer, and has no way to detect the loss. *)
   let engine, net = make_net () in
   let cb = Cbcast.create engine net ~n:3 in
-  Network.set_drop_filter net (fun ~dst ~src _ -> dst = 2 && src = 0);
+  Network.set_fault_hook net (fun ~dst ~src m ->
+      if dst = 2 && src = 0 then [] else [ m ]);
   Cbcast.broadcast cb ~src:0 ~tag:1 "question";
   Engine.schedule engine ~at:5000 (fun () ->
-      Network.clear_drop_filter net;
+      Network.clear_fault_hook net;
       Cbcast.broadcast cb ~src:1 ~tag:2 "answer");
   Engine.run engine;
   check (Alcotest.list int_t) "E1 fine" [ 1; 2 ] (Cbcast.delivered_tags cb ~entity:1);
@@ -148,12 +149,12 @@ let test_tobcast_go_back_n_is_wasteful () =
   let tb = Tobcast.create engine net ~n:3 ~retry:(Simtime.of_ms 50) in
   (* Drop the first Order broadcast at entity 1 only. *)
   let dropped = ref false in
-  Network.set_drop_filter net (fun ~dst ~src:_ _ ->
+  Network.set_fault_hook net (fun ~dst ~src:_ m ->
       if dst = 1 && not !dropped then begin
         dropped := true;
-        true
+        []
       end
-      else false);
+      else [ m ]);
   for i = 1 to 10 do
     Engine.schedule engine ~at:(i * 2000) (fun () ->
         Tobcast.broadcast tb ~src:0 ~tag:i "m")
@@ -204,12 +205,12 @@ let test_pobcast_selective_repair () =
   let pb = Pobcast.create engine net ~n:3 ~retry:(Simtime.of_ms 10) in
   (* Drop exactly the second message at entity 2. *)
   let count = ref 0 in
-  Network.set_drop_filter net (fun ~dst ~src _ ->
+  Network.set_fault_hook net (fun ~dst ~src m ->
       if dst = 2 && src = 0 then begin
         incr count;
-        !count = 2
+        if !count = 2 then [] else [ m ]
       end
-      else false);
+      else [ m ]);
   (* Messages spaced wider than the repair round-trip, so exactly the lost
      PDU is retransmitted (closer spacing widens the NACK range while the
      repair is in flight — still selective, but conservatively so). *)

@@ -3,6 +3,7 @@ module Entity = Repro_core.Entity
 module Failure = Repro_core.Failure
 module Cluster = Repro_core.Cluster
 module Pdu = Repro_pdu.Pdu
+module Codec = Repro_pdu.Codec
 module Simtime = Repro_sim.Simtime
 module Trace = Repro_sim.Trace
 module Trace_lint = Repro_check.Trace_lint
@@ -333,6 +334,85 @@ let test_injector_down_silences_both_directions () =
   Injector.apply inj (Plan.Restart 2);
   check int_t "back" 1 (List.length (Injector.on_pdu inj ~dst:2 ~src:0 pdu))
 
+let test_injector_membership_is_silence () =
+  let inj = Injector.create ~n:4 ~seed:9 () in
+  let pdu = dt ~src:0 ~seq:1 ~ack:[| 1; 1; 1; 1 |] in
+  let carried ~src ~dst = List.length (Injector.on_pdu inj ~dst ~src pdu) in
+  Injector.apply inj (Plan.Leave 3);
+  check bool_t "left node is down" true (Injector.is_down inj 3);
+  for e = 0 to 2 do
+    check int_t "nothing to the left node" 0 (carried ~src:e ~dst:3);
+    check int_t "nothing from the left node" 0 (carried ~src:3 ~dst:e)
+  done;
+  check int_t "others unaffected" 1 (carried ~src:0 ~dst:1);
+  Injector.apply inj (Plan.Join 3);
+  check bool_t "joined node is up" false (Injector.is_down inj 3);
+  for e = 0 to 2 do
+    check int_t "to the joined node" 1 (carried ~src:e ~dst:3);
+    check int_t "from the joined node" 1 (carried ~src:3 ~dst:e)
+  done;
+  check int_t "six silenced copies" 6 (Injector.stats inj).crash_drops
+
+(* One verdict, three renderers: injectors with equal seeds fed the same
+   actions and hook calls end with equal stats whichever renderer carries
+   the copies — the codec round-trip, raw datagram bytes or an opaque
+   frame. *)
+type injector_op = Act of Plan.action | Copy of { src : int; dst : int }
+
+let gen_injector_ops =
+  let open QCheck.Gen in
+  let entity = int_bound 3 in
+  let prob = map (fun k -> float_of_int k /. 10.) (int_bound 10) in
+  let action =
+    frequency
+      [
+        (2, map (fun p -> Plan.Loss p) prob);
+        (2, map (fun p -> Plan.Corrupt p) prob);
+        (2, map (fun p -> Plan.Duplicate p) prob);
+        ( 1,
+          map
+            (fun k ->
+              Plan.Partition [ [ 0; k ]; List.filter (( <> ) k) [ 1; 2; 3 ] ])
+            (int_range 1 3) );
+        (1, return Plan.Heal);
+        (1, map (fun e -> Plan.Crash e) entity);
+        (1, map (fun e -> Plan.Restart e) entity);
+      ]
+  in
+  let copy = map2 (fun src dst -> Copy { src; dst }) entity entity in
+  list_size (int_range 1 120)
+    (frequency [ (1, map (fun a -> Act a) action); (6, copy) ])
+
+let print_injector_op = function
+  | Act a -> Format.asprintf "%a" Plan.pp_action a
+  | Copy { src; dst } -> Printf.sprintf "copy %d->%d" src dst
+
+let prop_one_verdict_three_renderers =
+  let ops =
+    QCheck.make ~print:(QCheck.Print.list print_injector_op)
+      ~shrink:QCheck.Shrink.list gen_injector_ops
+  in
+  QCheck.Test.make ~name:"one verdict: equal stats through every renderer"
+    ~count:200 (QCheck.pair QCheck.small_nat ops) (fun (seed, ops) ->
+      let pdu = dt ~src:0 ~seq:1 ~ack:[| 1; 1; 1; 1 |] in
+      let datagram = Codec.encode_v2 pdu in
+      let make () = Injector.create ~wire:Config.V2 ~n:4 ~seed () in
+      let via_pdu = make () and via_datagram = make () in
+      let via_frame = make () in
+      List.iter
+        (function
+          | Act a ->
+            List.iter
+              (fun i -> Injector.apply i a)
+              [ via_pdu; via_datagram; via_frame ]
+          | Copy { src; dst } ->
+            ignore (Injector.on_pdu via_pdu ~dst ~src pdu);
+            ignore (Injector.on_datagram via_datagram ~dst ~src datagram);
+            ignore (Injector.on_frame via_frame ~dst ~src ()))
+        ops;
+      let s = Injector.stats via_pdu in
+      s = Injector.stats via_datagram && s = Injector.stats via_frame)
+
 (* --- Chaos plans (the acceptance gate) --- *)
 
 let run_plan plan = Chaos.run ~n:4 ~seed:1 plan
@@ -517,7 +597,10 @@ let () =
             test_injector_corruption_is_caught_by_codec;
           Alcotest.test_case "crash silences both directions" `Quick
             test_injector_down_silences_both_directions;
-        ] );
+          Alcotest.test_case "leave silences, join restores" `Quick
+            test_injector_membership_is_silence;
+        ]
+        @ Qutil.qsuite [ prop_one_verdict_three_renderers ] );
       ( "chaos-plans",
         [
           Alcotest.test_case "plans validate" `Quick test_plans_validate;

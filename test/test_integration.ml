@@ -118,17 +118,17 @@ let test_figure6_deterministic_loss () =
   let config = Cluster.default_config ~n in
   let cluster = Cluster.create config in
   let dropped = ref false in
-  Network.set_drop_filter (Cluster.network cluster) (fun ~dst ~src pdu ->
+  Network.set_fault_hook (Cluster.network cluster) (fun ~dst ~src pdu ->
       match pdu with
       | Pdu.Data d
         when dst = 2 && src = 0 && d.seq = 1 && not (Pdu.is_confirmation d) ->
         (* Drop only the first copy; the retransmission passes. *)
-        if !dropped then false
+        if !dropped then [ pdu ]
         else begin
           dropped := true;
-          true
+          []
         end
-      | Pdu.Data _ | Pdu.Ret _ | Pdu.Ctl _ -> false);
+      | Pdu.Data _ | Pdu.Ret _ | Pdu.Ctl _ -> [ pdu ]);
   Cluster.submit_at cluster ~at:Simtime.zero ~src:0 "g";
   Cluster.submit_at cluster ~at:(Simtime.of_ms 2) ~src:0 "p";
   Cluster.submit_at cluster ~at:(Simtime.of_ms 3) ~src:1 "other";
@@ -183,12 +183,13 @@ let transitive_race mode =
   in
   let cluster = Cluster.create config in
   let engine = Cluster.engine cluster in
-  Network.set_drop_filter (Cluster.network cluster) (fun ~dst ~src pdu ->
+  Network.set_fault_hook (Cluster.network cluster) (fun ~dst ~src pdu ->
       let early = Simtime.compare (Engine.now engine) (Simtime.of_ms 60) < 0 in
       match pdu with
-      | Pdu.Data d when src = 0 && d.seq = 1 && (dst = 2 || dst = 3) -> early
-      | Pdu.Data d when src = 1 && d.seq = 1 && dst = 0 -> early
-      | Pdu.Data _ | Pdu.Ret _ | Pdu.Ctl _ -> false);
+      | Pdu.Data d when early && src = 0 && d.seq = 1 && (dst = 2 || dst = 3) ->
+        []
+      | Pdu.Data d when early && src = 1 && d.seq = 1 && dst = 0 -> []
+      | Pdu.Data _ | Pdu.Ret _ | Pdu.Ctl _ -> [ pdu ]);
   Cluster.submit_at cluster ~at:Simtime.zero ~src:0 "p";
   Cluster.submit_at cluster ~at:(Simtime.of_ms 3) ~src:1 "x";
   Cluster.submit_at cluster ~at:(Simtime.of_ms 6) ~src:2 "q";

@@ -3,13 +3,11 @@
 
 module Simtime = Repro_sim.Simtime
 module Topology = Repro_sim.Topology
-module Engine = Repro_sim.Engine
 module Plan = Repro_fault.Plan
 module Workload = Repro_harness.Workload
 module Pac = Repro_harness.Pac
 module Oracle = Repro_harness.Oracle
 module Scenario = Repro_scenario.Scenario
-module Driver = Repro_scenario.Driver
 module Runner = Repro_scenario.Runner
 
 let check = Alcotest.check
@@ -107,21 +105,6 @@ let test_compile_rejects_malformed () =
                    asymmetry = 2.0;
                  };
            }))
-
-let test_driver_rejects_unsupported_actions () =
-  let engine = Engine.create () in
-  let plan =
-    {
-      Plan.name = "stall";
-      description = "driver cannot express stalls";
-      events = [ { Plan.at = ms 5; action = Plan.Stall { entity = 1; factor = 4 } } ];
-      horizon = ms 50;
-    }
-  in
-  Alcotest.match_raises "stall refused"
-    (function Invalid_argument _ -> true | _ -> false)
-    (fun () ->
-      ignore (Driver.create ~engine ~n:3 ~seed:1 ~plan ~initially_down:[]))
 
 (* Every compiled plan is valid, time-sorted, and heals before the
    horizon — across builtins and seeds. *)
@@ -342,6 +325,103 @@ let test_same_seed_byte_identical_artifact () =
   check bool_t "different seed, different runs" false (String.equal a c)
 
 (* ------------------------------------------------------------------ *)
+(* Faults: the full plan vocabulary reaches every protocol             *)
+
+(* The committed [BENCH_pac_<name>.json] goldens at seed 42: rebuilding
+   them must reproduce every byte. Resolved next to the built executable
+   ([dune runtest] copies the fixtures there), else from the source tree. *)
+let pac_golden name =
+  let file = Printf.sprintf "fixtures/pac/BENCH_pac_%s.json" name in
+  let candidates =
+    [
+      Filename.concat (Filename.dirname Sys.executable_name) file;
+      Filename.concat "test" file;
+    ]
+  in
+  let path =
+    match List.find_opt Sys.file_exists candidates with
+    | Some p -> p
+    | None -> List.hd candidates
+  in
+  In_channel.with_open_bin path In_channel.input_all
+
+(* Corrupt, duplicate and stall windows — actions no scenario compiles
+   to — layered over a compiled plan, all healed mid-horizon. *)
+let with_full_fault_set (c : Scenario.compiled) =
+  let sc = c.Scenario.scenario in
+  let h = sc.Scenario.horizon in
+  let window from until on off =
+    [
+      { Plan.at = h * from / 10; action = on };
+      { Plan.at = h * until / 10; action = off };
+    ]
+  in
+  let extra =
+    window 1 3 (Plan.Corrupt 0.2) (Plan.Corrupt 0.)
+    @ window 2 4 (Plan.Duplicate 0.3) (Plan.Duplicate 0.)
+    @ window 3 5 (Plan.Stall { entity = 1; factor = 20 }) (Plan.Unstall 1)
+  in
+  let plan = c.Scenario.plan in
+  let events =
+    List.stable_sort
+      (fun a b -> Simtime.compare a.Plan.at b.Plan.at)
+      (plan.Plan.events @ extra)
+  in
+  let plan = { plan with Plan.events } in
+  Plan.validate ~n:sc.Scenario.n plan;
+  { c with Scenario.plan }
+
+let test_full_fault_set_every_protocol () =
+  List.iter
+    (fun s ->
+      let compiled = with_full_fault_set (Scenario.compile ~seed:42 s) in
+      let run () =
+        List.map (Runner.run ~compiled ~seed:42) Runner.all_protocols
+      in
+      let results = run () in
+      List.iter
+        (fun r ->
+          let c = r.Runner.curve in
+          let label =
+            s.Scenario.name ^ "/" ^ Runner.protocol_name r.Runner.protocol
+          in
+          let every_obligation () =
+            check int_t (label ^ ": every obligation") c.Pac.expected
+              c.Pac.delivered
+          in
+          match r.Runner.protocol with
+          | Runner.Co ->
+            (match r.Runner.oracle with
+            | Some report ->
+              check bool_t (label ^ ": oracle ok") true (Oracle.ok report)
+            | None -> Alcotest.fail "CO run must carry an oracle report");
+            every_obligation ()
+          | Runner.Tobcast -> every_obligation ()
+          | Runner.Cbcast ->
+            (* No loss recovery: stalls are expected, overdelivery is not. *)
+            check bool_t (label ^ ": delivered <= expected") true
+              (c.Pac.delivered <= c.Pac.expected))
+        results;
+      let artifact = Runner.artifact_json ~compiled ~seed:42 results in
+      check Alcotest.string
+        (s.Scenario.name ^ ": same seed, byte-identical artifact")
+        artifact
+        (Runner.artifact_json ~compiled ~seed:42 (run ()));
+      check bool_t (s.Scenario.name ^ ": the added faults bite") false
+        (String.equal artifact (pac_golden s.Scenario.name)))
+    Scenario.builtins
+
+let test_pac_goldens () =
+  List.iter
+    (fun s ->
+      let compiled, results = run_all ~seed:42 s in
+      check Alcotest.string
+        (s.Scenario.name ^ ": golden byte-identical")
+        (pac_golden s.Scenario.name)
+        (Runner.artifact_json ~compiled ~seed:42 results))
+    Scenario.builtins
+
+(* ------------------------------------------------------------------ *)
 
 let qsuite tests = Qutil.qsuite ~long:false tests
 
@@ -357,8 +437,6 @@ let () =
             test_compile_observers_and_down;
           Alcotest.test_case "malformed scenarios rejected" `Quick
             test_compile_rejects_malformed;
-          Alcotest.test_case "driver rejects unsupported actions" `Quick
-            test_driver_rejects_unsupported_actions;
           Alcotest.test_case "zipf workload matches quotas" `Quick
             test_zipf_workload_counts_match_quotas;
         ]
@@ -378,6 +456,9 @@ let () =
             test_pac_one_implies_oracle_ok;
           Alcotest.test_case "same-seed artifacts byte-identical" `Slow
             test_same_seed_byte_identical_artifact;
+          Alcotest.test_case "full plan on every protocol" `Slow
+            test_full_fault_set_every_protocol;
+          Alcotest.test_case "golden PAC artifacts" `Slow test_pac_goldens;
         ]
         @ qsuite [ prop_pac_curve_monotone ] );
     ]

@@ -235,21 +235,33 @@ let test_network_injected_loss () =
   (* Only the lossless loopback arrives. *)
   check int_t "only loopback" 1 !got
 
-let test_network_drop_filter () =
+let test_network_fault_hook () =
   let engine, net = make_net () in
   let got = Array.make 3 0 in
   for id = 0 to 2 do
     Network.attach net ~id ~handler:(fun ~src:_ _ -> got.(id) <- got.(id) + 1)
   done;
-  Network.set_drop_filter net (fun ~dst ~src:_ _ -> dst = 2);
+  let hooked = ref [] in
+  Network.set_fault_hook net (fun ~dst ~src m ->
+      hooked := (src, dst) :: !hooked;
+      match dst with 2 -> [] | 1 -> [ m; m ] | _ -> [ m ]);
   ignore (Network.broadcast net ~src:0 "m");
   Engine.run engine;
-  check int_t "e1 got it" 1 got.(1);
-  check int_t "e2 filtered" 0 got.(2);
-  Network.clear_drop_filter net;
+  check int_t "e0 loopback delivered" 1 got.(0);
+  check bool_t "loopback bypasses the hook" false (List.mem (0, 0) !hooked);
+  check int_t "e1 got the copy twice" 2 got.(1);
+  check int_t "e2 dropped" 0 got.(2);
+  check int_t "drop counted in losses" 1 (Network.losses net);
+  check int_t "drop traced as Faulted" 1
+    (Trace.count (Network.trace net) ~f:(function
+      | Trace.Dropped { dst = 2; reason = Trace.Faulted; _ } -> true
+      | _ -> false));
+  Network.clear_fault_hook net;
   ignore (Network.broadcast net ~src:0 "m2");
   Engine.run engine;
-  check int_t "e2 gets after clear" 1 got.(2)
+  check int_t "e1 once after clear" 3 got.(1);
+  check int_t "e2 gets after clear" 1 got.(2);
+  check int_t "no new losses" 1 (Network.losses net)
 
 let test_network_unicast () =
   let engine, net = make_net () in
@@ -402,7 +414,7 @@ let () =
           Alcotest.test_case "per-channel fifo" `Quick test_network_per_channel_fifo;
           Alcotest.test_case "overrun drops" `Quick test_network_overrun_drops;
           Alcotest.test_case "injected loss" `Quick test_network_injected_loss;
-          Alcotest.test_case "drop filter" `Quick test_network_drop_filter;
+          Alcotest.test_case "fault hook" `Quick test_network_fault_hook;
           Alcotest.test_case "unicast" `Quick test_network_unicast;
           Alcotest.test_case "available buffer" `Quick test_network_available_buffer;
           Alcotest.test_case "transmissions count" `Quick
