@@ -351,8 +351,8 @@ let chaos_cmd plan_name list_plans churn n seed per_entity wire tracing
     in
     let registry = Registry.global () in
     (* Churning plans (scripted Join/Leave, or anything under --churn) run
-       on the dynamic-membership group; fixed plans keep the static
-       cluster runner. The churn group needs node ids up to 4, so the
+       on the dynamic-membership group; fixed plans run as scenarios on the
+       scenario runner. The churn group needs node ids up to 4, so the
        endpoint count never drops below 5. *)
     let oks =
       List.map
@@ -371,12 +371,16 @@ let chaos_cmd plan_name list_plans churn n seed per_entity wire tracing
             o.Repro_fault.Chaos.c_ok
           end
           else begin
-            let o =
-              Repro_fault.Chaos.run ~n ~seed ~per_entity ~wire ~tracing
-                ~registry plan
+            let compiled =
+              Repro_scenario.Scenario.of_plan ~n ~per_entity plan
             in
-            Format.printf "%a@.@." Repro_fault.Chaos.pp_outcome o;
-            o.Repro_fault.Chaos.ok
+            let r =
+              Repro_scenario.Runner.run ~wire ~tracing ~registry ~compiled
+                ~seed Repro_scenario.Runner.Co
+            in
+            Format.printf "chaos %s (seed %d)@.%a@.@." plan.Repro_fault.Plan.name
+              seed Repro_scenario.Runner.pp r;
+            Repro_scenario.Runner.ok r
           end)
         plans
     in
@@ -442,17 +446,7 @@ let scenario_cmd name list_scenarios seed protocol out metrics_out =
             (Repro_harness.Report.pac_table
                (List.map (fun r -> r.Repro_scenario.Runner.curve) rescaled));
           List.iter
-            (fun (r : Repro_scenario.Runner.result) ->
-              let c = r.Repro_scenario.Runner.curve in
-              Printf.printf "%-8s submitted=%d delivered=%d/%d stalled=%d%s\n"
-                (Repro_scenario.Runner.protocol_name
-                   r.Repro_scenario.Runner.protocol)
-                r.Repro_scenario.Runner.submitted c.Repro_harness.Pac.delivered
-                c.Repro_harness.Pac.expected r.Repro_scenario.Runner.stalled
-                (match r.Repro_scenario.Runner.oracle with
-                | Some o when Oracle.ok o -> "  oracle=ok"
-                | Some _ -> "  oracle=VIOLATION"
-                | None -> ""))
+            (Format.printf "%a@." Repro_scenario.Runner.pp)
             rescaled;
           Repro_scenario.Runner.to_registry registry ~compiled results;
           let file =
@@ -466,22 +460,7 @@ let scenario_cmd name list_scenarios seed protocol out metrics_out =
             (Repro_scenario.Runner.artifact_json ~compiled ~seed results);
           close_out oc;
           Printf.printf "PAC curves written to %s\n" file;
-          (* The gate: CO must keep exact causal order, and whenever its
-             curve reports 1.0 the full oracle (liveness included) must
-             agree. *)
-          List.for_all
-            (fun (r : Repro_scenario.Runner.result) ->
-              match r.Repro_scenario.Runner.protocol with
-              | Repro_scenario.Runner.Co ->
-                r.Repro_scenario.Runner.causal_ok
-                && (Repro_harness.Pac.terminal r.Repro_scenario.Runner.curve
-                    < 1.0
-                   ||
-                   match r.Repro_scenario.Runner.oracle with
-                   | Some o -> Oracle.ok o
-                   | None -> false)
-              | _ -> true)
-            results)
+          List.for_all Repro_scenario.Runner.ok results)
         scenarios
     in
     (match metrics_out with

@@ -27,14 +27,14 @@
     Fault state changes by {!apply}ing {!Plan.action}s. [Crash]/[Restart]
     only flip the injector's down flag (the medium stops carrying copies
     to or from a dead NIC) — actually crashing the entity is the caller's
-    job ({!Chaos.run} pairs each with
-    {!Repro_core.Cluster.crash}/[restart]). [Join]/[Leave] mean the same
+    job (the scenario runner, [Repro_scenario.Runner], pairs each with
+    {!Repro_core.Cluster.crash}/[restart] for CO). [Join]/[Leave] mean the same
     to the medium: the node is up or down. Membership changes themselves
     are the churn runner's job ({!Chaos.run_churn} intercepts them).
 
     The verdict stream is seeded with {!create}'s [seed] as given; a
-    caller whose seed also feeds another stream salts it first
-    ({!Chaos} does). *)
+    caller whose seed also feeds another stream may salt it first
+    ({!Chaos.run_churn} does). *)
 
 type t
 

@@ -7,10 +7,12 @@
     probabilistic actions only set parameters of the seeded
     {!Injector.t} — so a (plan, seed) pair replays bit-identically.
 
-    Every built-in plan heals all of its faults before {!t.horizon}; the
-    chaos runner ({!Chaos.run}) drives the cluster past the horizon to
-    quiescence and then checks the CO service properties over the
-    surviving entities. *)
+    Every built-in plan heals all of its faults before {!t.horizon}. A
+    fixed-membership plan runs as a scenario
+    ([Repro_scenario.Scenario.of_plan]) on the scenario runner, which
+    drains the cluster to twice the horizon and then renders the CO
+    verdict over the observers that are up; a churn plan runs on the
+    membership group ({!Chaos.run_churn}). *)
 
 type action =
   | Crash of int  (** Crash-stop an entity (checkpointing to stable storage). *)
@@ -82,7 +84,8 @@ val mayhem : t
 (** Loss, a crash and a partition overlapping — the kitchen sink. *)
 
 val all : t list
-(** The fixed-membership plans above — everything {!Chaos.run} accepts. *)
+(** The fixed-membership plans above — everything
+    [Repro_scenario.Scenario.of_plan] accepts. *)
 
 (** {2 Churn plans} — for the membership runner ({!Chaos.run_churn}):
     a 5-endpoint group whose epoch-0 members are 0-3, node 4 in reserve

@@ -122,13 +122,20 @@ let check_deliveries ~expected_tags ~precedes ~key_of ~deliveries =
     causal = causality_violations ~precedes ~deliveries;
   }
 
-let check_cluster cluster ~expected_tags =
-  let n = Cluster.size cluster in
+let check_cluster ?entities cluster ~expected_tags =
+  let entities =
+    match entities with
+    | Some es -> es
+    | None -> List.init (Cluster.size cluster) Fun.id
+  in
   let deliveries =
-    Array.init n (fun entity ->
-        List.map
-          (fun (src, seq) -> Cluster.tag_of_key ~src ~seq)
-          (Cluster.delivery_keys cluster ~entity))
+    Array.of_list
+      (List.map
+         (fun entity ->
+           List.map
+             (fun (src, seq) -> Cluster.tag_of_key ~src ~seq)
+             (Cluster.delivery_keys cluster ~entity))
+         entities)
   in
   let causality = Cluster.causality cluster in
   let precedes p q =

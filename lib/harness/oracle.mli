@@ -47,9 +47,11 @@ val total_order_agreement : deliveries:int list array -> bool
 
 type report = {
   expected : int;
-      (** Data messages actually sent ([expected_tags], e.g.
-          {!Repro_core.Cluster.data_tags}); a submission skipped or never
-          sent does not count. *)
+      (** Data messages actually sent: the length of [expected_tags]
+          (e.g. {!Repro_core.Cluster.data_tags}). A submission still
+          queued behind the flow window, or lost with a crash, is not
+          sent and does not count; callers that must account for every
+          submission compare this against their own submission count. *)
   delivered_per_entity : int array;
   missing : (int * int) list;
   dups : violation list;
@@ -67,8 +69,10 @@ val check_deliveries :
     usable on replayed traces as well as live clusters. *)
 
 val check_cluster :
-  Repro_core.Cluster.t -> expected_tags:int list -> report
-(** {!check_deliveries} against the ground-truth relation of
+  ?entities:int list -> Repro_core.Cluster.t -> expected_tags:int list -> report
+(** {!check_deliveries} over the deliveries of [entities] (default: every
+    entity; the report's entity numbers are positions in the list)
+    against the ground-truth relation of
     {!Repro_core.Cluster.causality}. *)
 
 val ok : report -> bool

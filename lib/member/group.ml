@@ -98,11 +98,14 @@ let m_counter t ?help name labels f =
   | None -> ()
   | Some reg -> f (Registry.counter reg ?help ~name labels)
 
-let m_view_change t ~epoch =
-  m_counter t ~help:"Committed membership view changes"
-    "co_view_changes_total"
-    [ ("epoch", string_of_int epoch) ]
-    Registry.inc
+let count_view_change registry ~epoch =
+  Option.iter
+    (fun reg ->
+      Registry.inc
+        (Registry.counter reg ~help:"Committed membership view changes"
+           ~name:"co_view_changes_total"
+           [ ("epoch", string_of_int epoch) ]))
+    registry
 
 let m_state_bytes t ~by =
   m_counter t ~help:"co-checkpoint-v1 bytes shipped in STATE frames"
@@ -311,7 +314,7 @@ let try_commit t nd b =
     b.b_committed_at <- Engine.now t.engine;
     nd.last_commit <- Some frame;
     t.view_changes <- t.view_changes + 1;
-    m_view_change t ~epoch:b.b_next.View.epoch;
+    count_view_change t.config.registry ~epoch:b.b_next.View.epoch;
     bcast_control t ~src:nd.gid frame
   end
 

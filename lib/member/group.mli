@@ -84,6 +84,11 @@ val default_config : max_nodes:int -> config
 (** Uniform 1ms topology, inbox 64, service time scaled to [max_nodes], no
     loss, 5ms control period, no registry. *)
 
+val count_view_change : Repro_obs.Registry.t option -> epoch:int -> unit
+(** Count one committed view change into [co_view_changes_total{epoch}]
+    (nothing without a registry). The one registration of that family,
+    shared by every host that commits views. *)
+
 val epoch_cid : cid:int -> epoch:int -> int
 (** The effective cluster id of epoch [epoch] under base cluster id [cid]
     — injective per (base, epoch < 2^20), never equal to another epoch's,

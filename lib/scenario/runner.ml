@@ -3,11 +3,17 @@ module Engine = Repro_sim.Engine
 module Network = Repro_sim.Network
 module Plan = Repro_fault.Plan
 module Injector = Repro_fault.Injector
+module Watchdog = Repro_fault.Watchdog
 module Cluster = Repro_core.Cluster
-module Causality = Repro_clock.Causality
+module Config = Repro_core.Config
+module Entity = Repro_core.Entity
 module Workload = Repro_harness.Workload
 module Oracle = Repro_harness.Oracle
 module Pac = Repro_harness.Pac
+module Trace_lint = Repro_check.Trace_lint
+module Registry = Repro_obs.Registry
+module Trace_ctx = Repro_obs.Trace_ctx
+module Critpath = Repro_obs.Critpath
 module Cbcast = Repro_baselines.Cbcast
 module Tobcast = Repro_baselines.Tobcast
 
@@ -23,24 +29,48 @@ let protocol_of_name = function
 
 let all_protocols = [ Co; Cbcast; Tobcast ]
 
+type co = {
+  live : int list;
+  report : Oracle.report;
+  delivery_orders : (int * int) list array;
+  converged : bool;
+  quiescent : bool;
+  lint_issues : Trace_lint.issue list;
+  ret_retries : int;
+  backoff_samples : int;
+  recoveries : int;
+  delay_attribution : Critpath.summary option;
+  spans_abandoned : int;
+}
+
 type result = {
   protocol : protocol;
   curve : Pac.curve;
-  oracle : Oracle.report option;
+  co : co option;
   causal_ok : bool;
   stalled : int;
   submitted : int;
   events : int;
   latencies_ms : float list;
+  stats : Injector.stats;
 }
+
+let ok r =
+  match r.co with
+  | None -> true
+  | Some c ->
+    c.live <> [] && Oracle.ok c.report
+    && c.report.Oracle.expected >= r.submitted
+    && c.converged && c.quiescent && c.lint_issues = []
 
 (* Drain window: past the horizon every fault is healed; one extra horizon
    of virtual time lets RET / go-back-N recovery finish. *)
 let drain_until (compiled : Scenario.compiled) =
   2 * compiled.Scenario.scenario.Scenario.horizon
 
-let finish ~compiled ~protocol ~oracle ~causal_ok ~stalled ~submitted ~events
+let finish ~compiled ~protocol ~co ~causal_ok ~stalled ~sent ~events ~inj
     ~latencies_ms =
+  let submitted = List.length !sent in
   let expected =
     submitted * List.length compiled.Scenario.observers
   in
@@ -52,20 +82,47 @@ let finish ~compiled ~protocol ~oracle ~causal_ok ~stalled ~submitted ~events
     Pac.curve ~protocol:(protocol_name protocol) ~expected ~deadlines_ms
       ~latencies_ms
   in
-  { protocol; curve; oracle; causal_ok; stalled; submitted; events; latencies_ms }
+  {
+    protocol;
+    curve;
+    co;
+    causal_ok;
+    stalled;
+    submitted;
+    events;
+    latencies_ms;
+    stats = Injector.stats inj;
+  }
 
 (* One fault interpreter for every protocol: a seeded injector on the
    medium's fault and service hooks replays the compiled plan. Nodes that
    only join later start down, as if they had left. [render] turns the
-   injector's verdict into copies of this protocol's payload. *)
-let arm ~engine ~(compiled : Scenario.compiled) ~seed ~render net =
-  let inj = Injector.create ~n:compiled.Scenario.scenario.Scenario.n ~seed () in
+   injector's verdict into copies of this protocol's payload. Given a CO
+   [cluster], [Crash]/[Restart] also crash-stop and restore the entity;
+   the baselines see them as silence only. *)
+let arm ?cluster ~engine ~(compiled : Scenario.compiled) ~seed ~wire ~render
+    net =
+  let inj =
+    Injector.create ~wire ~n:compiled.Scenario.scenario.Scenario.n ~seed ()
+  in
   List.iter
     (fun e -> Injector.apply inj (Plan.Leave e))
     compiled.Scenario.initially_down;
+  let apply action =
+    match (cluster, action) with
+    | Some c, Plan.Crash e ->
+      if not (Cluster.is_down c e) then Cluster.crash c ~id:e;
+      Injector.apply inj action
+    | Some c, Plan.Restart e ->
+      (* Lift the medium fault first: the restarted entity's recovery CTL
+         must reach its peers. *)
+      Injector.apply inj action;
+      if Cluster.is_down c e then Cluster.restart c ~id:e
+    | _ -> Injector.apply inj action
+  in
   List.iter
     (fun { Plan.at; action } ->
-      Engine.schedule engine ~at (fun () -> Injector.apply inj action))
+      Engine.schedule engine ~at (fun () -> apply action))
     compiled.Scenario.plan.Plan.events;
   Network.set_fault_hook net (render inj);
   Network.set_service_hook net (Injector.service_delay inj);
@@ -73,8 +130,8 @@ let arm ~engine ~(compiled : Scenario.compiled) ~seed ~render net =
 
 (* Schedule the workload, skipping sources that are down at fire time; the
    skip schedule is identical across protocols because the injector
-   replays the same plan. Returns the submit-time table (tag -> send
-   instant). *)
+   replays the same plan. Returns the fired-submission table (tag -> send
+   instant), newest first. *)
 let schedule_workload ~engine ~inj ~(compiled : Scenario.compiled) ~broadcast =
   let sent = ref [] in
   let next_tag = ref 0 in
@@ -89,22 +146,57 @@ let schedule_workload ~engine ~inj ~(compiled : Scenario.compiled) ~broadcast =
     compiled.Scenario.workload;
   sent
 
-let run_co ~max_events ~(compiled : Scenario.compiled) ~seed =
+let backoff_samples reg =
+  List.fold_left
+    (fun acc (s : Registry.sample) ->
+      match (s.Registry.family, s.Registry.value) with
+      | "co_ret_backoff_us", Registry.Sample_histogram snap ->
+        acc + snap.Repro_obs.Histogram.count
+      | _ -> acc)
+    0 (Registry.samples reg)
+
+let delivered_set cluster e =
+  List.sort_uniq Int.compare
+    (List.map
+       (fun (src, seq) -> Cluster.tag_of_key ~src ~seq)
+       (Cluster.delivery_keys cluster ~entity:e))
+
+let run_co ~max_events ~wire ~tracing ~registry
+    ~(compiled : Scenario.compiled) ~seed =
   let sc = compiled.Scenario.scenario in
   let n = sc.Scenario.n in
+  let reg = match registry with Some r -> r | None -> Registry.create () in
+  let base = Cluster.default_config ~n in
+  let protocol = { base.Cluster.protocol with Config.wire; tracing } in
   let cfg =
-    { (Cluster.default_config ~n) with Cluster.topology = compiled.Scenario.topology; seed }
+    {
+      base with
+      Cluster.topology = compiled.Scenario.topology;
+      seed;
+      instrument = Some reg;
+      protocol;
+    }
   in
   let cluster = Cluster.create cfg in
   let engine = Cluster.engine cluster in
-  (* CO's copies are rendered through the codec, as in chaos runs. *)
-  let net = Cluster.network cluster in
-  let inj = arm ~engine ~compiled ~seed ~render:Injector.on_pdu net in
-  ignore
-    (schedule_workload ~engine ~inj ~compiled ~broadcast:(fun ~src ~tag:_ p ->
-         Cluster.submit cluster ~src p));
+  (* CO's copies are rendered through the codec. *)
+  let inj =
+    arm ~cluster ~engine ~compiled ~seed ~wire ~render:Injector.on_pdu
+      (Cluster.network cluster)
+  in
+  let sent =
+    schedule_workload ~engine ~inj ~compiled ~broadcast:(fun ~src ~tag:_ p ->
+        Cluster.submit cluster ~src p)
+  in
+  (* [registry] may be shared across runs: count this run's samples only. *)
+  let backoff_before = backoff_samples reg in
+  let dog =
+    Watchdog.install ~cluster
+      ~period:(4 * protocol.Config.ret_retry_timeout)
+      ~until:sc.Scenario.horizon ()
+  in
   Engine.run engine ~until:(drain_until compiled) ~max_events;
-  let tags = Cluster.data_tags cluster in
+  Cluster.sync_metrics cluster;
   let observers = compiled.Scenario.observers in
   let latencies_ms =
     List.concat_map
@@ -119,29 +211,61 @@ let run_co ~max_events ~(compiled : Scenario.compiled) ~seed =
           (List.combine stamps keys))
       observers
   in
-  let deliveries =
-    Array.of_list
-      (List.map
-         (fun e ->
-           List.map
-             (fun (src, seq) -> Cluster.tag_of_key ~src ~seq)
-             (Cluster.delivery_keys cluster ~entity:e))
-         observers)
-  in
-  let causality = Cluster.causality cluster in
-  let precedes p q =
-    try Causality.msg_precedes causality p q with Not_found -> false
-  in
+  (* The verdict covers the observers that are up at the end. *)
+  let live = List.filter (fun e -> not (Cluster.is_down cluster e)) observers in
   let report =
-    Oracle.check_deliveries ~expected_tags:tags ~precedes
-      ~key_of:Cluster.key_of_tag ~deliveries
+    Oracle.check_cluster cluster ~entities:live
+      ~expected_tags:(Cluster.data_tags cluster)
+  in
+  let converged =
+    match live with
+    | [] -> false
+    | first :: rest ->
+      let reference = delivered_set cluster first in
+      List.for_all (fun e -> delivered_set cluster e = reference) rest
+  in
+  let quiescent =
+    List.for_all
+      (fun e ->
+        let ent = Cluster.entity cluster e in
+        Entity.undelivered_data ent = 0
+        && Entity.pending_count ent = 0
+        && Entity.queued_requests ent = 0)
+      live
+  in
+  let recorder = Cluster.recorder cluster in
+  let delay_attribution =
+    match recorder with
+    | Some r when tracing ->
+      (* Aggregate into the registry too, so the run exposes the same
+         co_delay_attrib_us families a production scrape would. *)
+      Critpath.to_registry reg (Trace_ctx.spans r);
+      Some (Critpath.of_recorder r)
+    | Some _ | None -> None
+  in
+  let co =
+    {
+      live;
+      report;
+      delivery_orders =
+        Array.of_list
+          (List.map (fun e -> Cluster.delivery_keys cluster ~entity:e) live);
+      converged;
+      quiescent;
+      lint_issues = Trace_lint.lint_trace ~n (Cluster.trace cluster);
+      ret_retries = (Cluster.aggregate_metrics cluster).ret_retries;
+      backoff_samples = backoff_samples reg - backoff_before;
+      recoveries = Watchdog.recoveries dog;
+      delay_attribution;
+      spans_abandoned =
+        (match recorder with None -> 0 | Some r -> Trace_ctx.abandoned r);
+    }
   in
   let causal_ok =
     report.Oracle.dups = [] && report.Oracle.fifo = [] && report.Oracle.causal = []
   in
-  finish ~compiled ~protocol:Co ~oracle:(Some report) ~causal_ok ~stalled:0
-    ~submitted:(List.length tags)
-    ~events:(Engine.processed engine) ~latencies_ms
+  finish ~compiled ~protocol:Co ~co:(Some co) ~causal_ok ~stalled:0 ~sent
+    ~events:(Engine.processed engine) ~inj ~latencies_ms
 
 (* Baselines share the medium setup bench/main.ml uses for the E4/E5
    comparisons: generous inboxes and a flat 100µs service time, so the
@@ -169,58 +293,88 @@ let baseline_latencies ~sent ~observers ~deliveries =
         (deliveries ~entity:e))
     observers
 
-let run_cbcast ~max_events ~(compiled : Scenario.compiled) ~seed =
-  let sc = compiled.Scenario.scenario in
-  let n = sc.Scenario.n in
+(* The baselines differ only in the protocol object: [start] builds it on
+   the engine and medium and returns its broadcast, its per-entity
+   (delivery instant, tag) list and its count of messages parked for
+   good. *)
+let run_baseline ~max_events ~wire ~(compiled : Scenario.compiled) ~seed
+    ~protocol ~start =
   let engine = Engine.create () in
   let net = baseline_net ~compiled ~seed engine in
-  let cb = Cbcast.create engine net ~n in
-  let inj = arm ~engine ~compiled ~seed ~render:Injector.on_frame net in
-  let sent =
-    schedule_workload ~engine ~inj ~compiled ~broadcast:(fun ~src ~tag payload ->
-        Cbcast.broadcast cb ~src ~tag payload)
+  let broadcast, deliveries, stalled =
+    start engine net ~n:compiled.Scenario.scenario.Scenario.n
   in
+  let inj = arm ~engine ~compiled ~seed ~wire ~render:Injector.on_frame net in
+  let sent = schedule_workload ~engine ~inj ~compiled ~broadcast in
   Engine.run engine ~until:(drain_until compiled) ~max_events;
   let observers = compiled.Scenario.observers in
-  let latencies_ms =
-    baseline_latencies ~sent ~observers ~deliveries:(fun ~entity ->
-        List.map
-          (fun (at, m) -> (at, m.Cbcast.tag))
-          (Cbcast.deliveries cb ~entity))
-  in
+  let latencies_ms = baseline_latencies ~sent ~observers ~deliveries in
   let stalled =
-    List.fold_left (fun acc e -> acc + Cbcast.stalled cb ~entity:e) 0 observers
+    List.fold_left (fun acc e -> acc + stalled ~entity:e) 0 observers
   in
-  finish ~compiled ~protocol:Cbcast ~oracle:None ~causal_ok:true ~stalled
-    ~submitted:(List.length !sent)
-    ~events:(Engine.processed engine) ~latencies_ms
+  finish ~compiled ~protocol ~co:None ~causal_ok:true ~stalled ~sent
+    ~events:(Engine.processed engine) ~inj ~latencies_ms
 
-let run_tobcast ~max_events ~(compiled : Scenario.compiled) ~seed =
-  let sc = compiled.Scenario.scenario in
-  let n = sc.Scenario.n in
-  let engine = Engine.create () in
-  let net = baseline_net ~compiled ~seed engine in
-  let tb = Tobcast.create engine net ~n ~retry:(Simtime.of_ms 10) in
-  let inj = arm ~engine ~compiled ~seed ~render:Injector.on_frame net in
-  let sent =
-    schedule_workload ~engine ~inj ~compiled ~broadcast:(fun ~src ~tag payload ->
-        Tobcast.broadcast tb ~src ~tag payload)
-  in
-  Engine.run engine ~until:(drain_until compiled) ~max_events;
-  let observers = compiled.Scenario.observers in
-  let latencies_ms =
-    baseline_latencies ~sent ~observers ~deliveries:(fun ~entity ->
-        Tobcast.deliveries tb ~entity)
-  in
-  finish ~compiled ~protocol:Tobcast ~oracle:None ~causal_ok:true ~stalled:0
-    ~submitted:(List.length !sent)
-    ~events:(Engine.processed engine) ~latencies_ms
-
-let run ?(max_events = 5_000_000) ~compiled ~seed protocol =
+let run ?(max_events = 5_000_000) ?(wire = Config.default.Config.wire)
+    ?(tracing = Config.default.Config.tracing) ?registry ~compiled ~seed
+    protocol =
   match protocol with
-  | Co -> run_co ~max_events ~compiled ~seed
-  | Cbcast -> run_cbcast ~max_events ~compiled ~seed
-  | Tobcast -> run_tobcast ~max_events ~compiled ~seed
+  | Co -> run_co ~max_events ~wire ~tracing ~registry ~compiled ~seed
+  | Cbcast ->
+    run_baseline ~max_events ~wire ~compiled ~seed ~protocol
+      ~start:(fun engine net ~n ->
+        let cb = Cbcast.create engine net ~n in
+        ( Cbcast.broadcast cb,
+          (fun ~entity ->
+            List.map
+              (fun (at, m) -> (at, m.Cbcast.tag))
+              (Cbcast.deliveries cb ~entity)),
+          Cbcast.stalled cb ))
+  | Tobcast ->
+    run_baseline ~max_events ~wire ~compiled ~seed ~protocol
+      ~start:(fun engine net ~n ->
+        let tb = Tobcast.create engine net ~n ~retry:(Simtime.of_ms 10) in
+        (Tobcast.broadcast tb, Tobcast.deliveries tb, fun ~entity:_ -> 0))
+
+let pp_ints ppf l =
+  Format.pp_print_list
+    ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
+    Format.pp_print_int ppf l
+
+let pp ppf r =
+  let c = r.curve in
+  Format.fprintf ppf "@[<v>%-8s submitted=%d delivered=%d/%d stalled=%d"
+    (protocol_name r.protocol) r.submitted c.Pac.delivered c.Pac.expected
+    r.stalled;
+  (match r.co with
+  | None -> ()
+  | Some co ->
+    let o = co.report in
+    Format.fprintf ppf "@,  verdict: %s@," (if ok r then "OK" else "FAILED");
+    Format.fprintf ppf
+      "  sent %d data PDUs; delivered per live observer (%a): %a@,"
+      o.Oracle.expected pp_ints co.live pp_ints
+      (Array.to_list o.Oracle.delivered_per_entity);
+    Format.fprintf ppf
+      "  converged=%b quiescent=%b missing=%d dups=%d fifo=%d causal=%d \
+       lint=%d@,"
+      co.converged co.quiescent
+      (List.length o.Oracle.missing)
+      (List.length o.Oracle.dups)
+      (List.length o.Oracle.fifo)
+      (List.length o.Oracle.causal)
+      (List.length co.lint_issues);
+    List.iter
+      (fun issue -> Format.fprintf ppf "  lint: %a@," Trace_lint.pp_issue issue)
+      co.lint_issues;
+    Format.fprintf ppf "  ret retries=%d backoff samples=%d watchdog kicks=%d"
+      co.ret_retries co.backoff_samples co.recoveries;
+    match co.delay_attribution with
+    | None -> ()
+    | Some s ->
+      Format.fprintf ppf "@,  spans abandoned by crashes: %d@,  %a"
+        co.spans_abandoned Critpath.pp_summary s);
+  Format.fprintf ppf "@,  injector: %a@]" Injector.pp_stats r.stats
 
 (* ---------------------------------------------------------------- *)
 (* Shared-grid artifacts.                                            *)

@@ -1,16 +1,23 @@
-(** Run a compiled scenario under each protocol and measure PAC curves.
+(** Run a compiled scenario under each protocol, measure PAC curves, and
+    render the one CO verdict.
 
     One run: build the protocol's cluster over the compiled topology, arm
     a seeded {!Repro_fault.Injector} on its medium to replay the compiled
     plan (the same interpreter for every protocol: CO renders corruption
-    through its codec, the baselines see a corrupted copy as a drop),
-    schedule the workload (skipping submissions whose source is down at
-    fire time — identically across protocols, since the down-schedule is
-    the same), drive the engine to
-    twice the scenario horizon, and fold every observer's deliveries into
-    a {!Repro_harness.Pac} curve. CO runs additionally get the exact
-    causal-order oracle over the observers, so the acceptance property
-    "exact order holds whenever PAC reports 1.0" is checkable. *)
+    through its codec, the baselines see a corrupted copy as a drop; for
+    CO, [Crash]/[Restart] also crash-stop and restore the entity from its
+    checkpoint, while the baselines see them as silence), schedule the
+    workload (skipping submissions whose source is down at fire time —
+    identically across protocols, since the down-schedule is the same),
+    drive the engine to twice the scenario horizon, and fold every
+    observer's deliveries into a {!Repro_harness.Pac} curve.
+
+    CO runs are always instrumented (into [registry]) and watched by a
+    {!Repro_fault.Watchdog} armed up to the horizon, and they carry the
+    {!co} details behind {!ok}: the exact service-property oracle over
+    the observers that are up at the end, convergence, quiescence and the
+    trace lint. Fault plans ({!Scenario.of_plan}) and named scenarios
+    ({!Scenario.compile}) take this same path. *)
 
 type protocol = Co | Cbcast | Tobcast
 
@@ -18,32 +25,81 @@ val protocol_name : protocol -> string
 val protocol_of_name : string -> protocol option
 val all_protocols : protocol list
 
+type co = {
+  live : int list;  (** Observers up at the end of the run, ascending. *)
+  report : Repro_harness.Oracle.report;
+      (** Service-property report over [live] (report entity numbers are
+          positions in [live]); its [expected] is the data PDUs sent. *)
+  delivery_orders : (int * int) list array;
+      (** Per live observer (positions follow [live]): the exact
+          (src, seq) delivery order — the observational trace the
+          wire-equivalence suite compares across codec versions. *)
+  converged : bool;  (** All live observers delivered the same set. *)
+  quiescent : bool;
+      (** No undelivered data, parked PDUs or queued requests at any live
+          observer. *)
+  lint_issues : Repro_check.Trace_lint.issue list;
+      (** The recorded trace's lint findings (deliveries inside a crash
+          window included). *)
+  ret_retries : int;  (** RET retry-timer firings (backoff steps), summed. *)
+  backoff_samples : int;
+      (** Observations in the registry's [co_ret_backoff_us] histograms. *)
+  recoveries : int;  (** Watchdog kicks issued. *)
+  delay_attribution : Repro_obs.Critpath.summary option;
+      (** Per-cause decomposition of delivery latency, present iff the run
+          was traced. Crashed entities contribute to its [abandoned]
+          count; spans never stitch across an entity's incarnations. *)
+  spans_abandoned : int;
+      (** Receipt-ladder spans cut short by entity crashes. *)
+}
+
 type result = {
   protocol : protocol;
   curve : Repro_harness.Pac.curve;
-  oracle : Repro_harness.Oracle.report option;
-      (** CO only: service-property report over the observers (report
-          entity numbers are positions in [observers]). *)
+  co : co option;  (** CO only. *)
   causal_ok : bool;
-      (** CO: no duplicate / FIFO / causal violations at any observer.
-          Baselines: vacuously true (their order guarantees differ). *)
+      (** CO: no duplicate / FIFO / causal violations at any live
+          observer. Baselines: vacuously true (their order guarantees
+          differ). *)
   stalled : int;  (** CBCAST only: messages parked forever. *)
-  submitted : int;  (** Messages actually broadcast (down sources skip). *)
+  submitted : int;
+      (** Workload submissions fired: entries whose source was up at fire
+          time. Equal across protocols for one compiled scenario. *)
   events : int;  (** Engine events executed. *)
   latencies_ms : float list;
       (** Raw (delivery − send) samples over the observers, kept so the
           curve can be re-evaluated exactly on a shared grid. *)
+  stats : Repro_fault.Injector.stats;  (** What the injector did. *)
 }
+
+val ok : result -> bool
+(** The CO verdict: some observer is up at the end, the oracle is clean
+    over the live observers (every sent PDU delivered exactly once, FIFO
+    and causal order kept), no fewer data PDUs were sent than submitted,
+    the live observers converged, the cluster is quiescent and the trace
+    lint is clean. Baselines carry no verdict: [true]. *)
 
 val run :
   ?max_events:int ->
+  ?wire:Repro_core.Config.wire_version ->
+  ?tracing:bool ->
+  ?registry:Repro_obs.Registry.t ->
   compiled:Scenario.compiled ->
   seed:int ->
   protocol ->
   result
 (** [max_events] defaults to 5 million. The [seed] feeds the network and
     the fault injector; equal [(compiled, seed, protocol)] triples produce
-    structurally equal results. *)
+    structurally equal results. CO only: [wire] (default
+    {!Repro_core.Config.default}'s) selects the codec the cluster and
+    injector frame with, and two runs differing only in [wire] must be
+    observationally identical; [tracing] (default
+    [Config.default.tracing]) turns on span recording and fills
+    [delay_attribution] without changing the run; [registry] receives the
+    run's telemetry (a private one when omitted). *)
+
+val pp : Format.formatter -> result -> unit
+(** One line of counts, then for CO the verdict and what it rests on. *)
 
 val deadline_grid : Scenario.compiled -> result list -> float list
 (** Shared deadline ladder over the pooled latencies of all runs plus the

@@ -275,6 +275,48 @@ let compile ~seed t =
   { scenario = t; topology; workload; plan; observers; initially_down }
 
 (* ---------------------------------------------------------------- *)
+(* Fixed fault plans as scenarios.                                   *)
+
+let of_plan ~n ~per_entity (plan : Plan.t) =
+  Plan.validate ~n plan;
+  if Plan.churning plan then
+    fail plan.Plan.name
+      "scripts membership churn; run it on the group (Chaos.run_churn)";
+  let delay = Simtime.of_ms 1 in
+  (* Deterministic spread over the first ~50ms, staggered per entity so no
+     two submissions share an instant. *)
+  let workload =
+    List.concat
+      (List.init per_entity (fun k ->
+           List.init n (fun src ->
+               {
+                 Workload.at =
+                   Simtime.(of_ms 2 + of_ms (8 * k) + of_us ((137 * src) + 11));
+                 src;
+                 payload = Printf.sprintf "m%d.%d" src k;
+               })))
+  in
+  {
+    scenario =
+      {
+        name = plan.Plan.name;
+        description = plan.Plan.description;
+        n;
+        workload = Continuous { per_entity; interval = Simtime.of_ms 8 };
+        delays = Uniform_delay delay;
+        loss = No_loss;
+        partitions = [];
+        churn = [];
+        horizon = plan.Plan.horizon;
+      };
+    topology = Topology.uniform ~n ~delay;
+    workload;
+    plan;
+    observers = List.init n Fun.id;
+    initially_down = [];
+  }
+
+(* ---------------------------------------------------------------- *)
 (* Named scenarios.                                                  *)
 
 let ms = Simtime.of_ms

@@ -101,6 +101,18 @@ val compile : seed:int -> t -> compiled
     overlapping partition windows, churn on node 0, events at/after the
     horizon — everything {!Repro_fault.Plan.validate} would reject). *)
 
+val of_plan : n:int -> per_entity:int -> Repro_fault.Plan.t -> compiled
+(** A fixed-membership fault plan (e.g. one of {!Repro_fault.Plan.all}) as
+    a compiled scenario: [n] entities on a uniform 1ms LAN, every entity an
+    observer, the plan replayed verbatim, and [per_entity] submissions per
+    entity, the k-th of entity [src] at [2ms + 8ms·k + (137·src + 11)µs].
+    The [scenario] record carries the plan's name, description and
+    horizon; its fault fields stay empty (the plan is given, not compiled)
+    and its workload shape is the nominal [Continuous] 8ms cadence.
+    @raise Invalid_argument if the plan fails {!Repro_fault.Plan.validate}
+    against [n] or scripts [Join]/[Leave] churn (that runs on the
+    membership group, {!Repro_fault.Chaos.run_churn}). *)
+
 (** {2 Named scenarios} *)
 
 val burst_storm : t

@@ -501,6 +501,7 @@ let commit_view_change t change =
       Repro_util.Pqueue.create ~cmp:(fun a b -> Simtime.compare a.at b.at);
     t.epoch <- epoch;
     t.view_changes <- t.view_changes + 1;
+    Repro_member.Group.count_view_change t.registry ~epoch;
     let t_ref = ref (Some t) in
     (* The joiner restores the very bytes its sponsor (the lowest-ranked
        survivor) would build for its rank — the co-checkpoint-v1 state
@@ -606,8 +607,6 @@ let sync_registry t =
       "co_udp_datagrams_dropped_total" t.dropped;
     c ~help:"Datagrams that failed PDU decoding" "co_udp_decode_errors_total"
       t.decode_errors;
-    c ~help:"Committed membership view changes" "co_view_changes_total"
-      t.view_changes;
     Wirestats.to_registry t.wirestats reg
 
 let close t =

@@ -110,8 +110,9 @@ val epoch : t -> int
 (** Committed membership epoch (0 at creation). *)
 
 val view_changes : t -> int
-(** Committed view changes (mirrored as [co_view_changes_total] by
-    {!sync_registry}). *)
+(** Committed view changes. Each commit also counts into
+    [co_view_changes_total{epoch}] when the cluster has a registry
+    ({!Repro_member.Group.count_view_change}). *)
 
 val deliveries : t -> entity:int -> Repro_pdu.Pdu.data list
 (** Application deliveries at [entity], in causal delivery order — across

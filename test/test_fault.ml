@@ -10,6 +10,8 @@ module Trace_lint = Repro_check.Trace_lint
 module Plan = Repro_fault.Plan
 module Injector = Repro_fault.Injector
 module Chaos = Repro_fault.Chaos
+module Scenario = Repro_scenario.Scenario
+module Runner = Repro_scenario.Runner
 module Watchdog = Repro_fault.Watchdog
 module Suspicion = Repro_member.Suspicion
 module Engine = Repro_sim.Engine
@@ -415,53 +417,51 @@ let prop_one_verdict_three_renderers =
 
 (* --- Chaos plans (the acceptance gate) --- *)
 
-let run_plan plan = Chaos.run ~n:4 ~seed:1 plan
-
-let assert_ok plan (o : Chaos.outcome) =
-  if not o.ok then
-    Alcotest.fail
-      (Format.asprintf "plan %s failed:@.%a" plan Chaos.pp_outcome o)
+(* Each fixed plan runs as a scenario through the one CO runner. *)
+let run_plan plan =
+  let r =
+    Runner.run ~compiled:(Scenario.of_plan ~n:4 ~per_entity:6 plan) ~seed:1
+      Runner.Co
+  in
+  if not (Runner.ok r) then
+    Alcotest.failf "plan %s failed:@.%a" plan.Plan.name Runner.pp r;
+  match r.Runner.co with
+  | Some co -> (r, co)
+  | None -> Alcotest.fail "CO run must carry its verdict details"
 
 let test_chaos_crash_restart () =
-  let o = run_plan Plan.crash_restart in
-  assert_ok "crash_restart" o;
-  check int_t "all four live" 4 (List.length o.live)
+  let _, co = run_plan Plan.crash_restart in
+  check int_t "all four live" 4 (List.length co.Runner.live)
 
 let test_chaos_partition_heal () =
-  let o = run_plan Plan.partition_heal in
-  assert_ok "partition_heal" o;
+  let r, _ = run_plan Plan.partition_heal in
   (* A symmetric partition drops the gap evidence along with the data, so
      the RET ladder only engages after heal (and the first RET usually
      lands) — backoff-specific assertions live in the loss plan. *)
   check bool_t "partition actually bit" true
-    ((o.stats : Injector.stats).partition_drops > 0)
+    (r.Runner.stats.Injector.partition_drops > 0)
 
 let test_chaos_loss_burst () =
-  let o = run_plan Plan.loss_burst in
-  assert_ok "loss_burst" o;
-  check bool_t "losses injected" true ((o.stats : Injector.stats).loss_drops > 0);
-  check bool_t "retries happened" true (o.ret_retries > 0);
-  check bool_t "backoff visible in registry" true (o.backoff_samples > 0)
+  let r, co = run_plan Plan.loss_burst in
+  check bool_t "losses injected" true (r.Runner.stats.Injector.loss_drops > 0);
+  check bool_t "retries happened" true (co.Runner.ret_retries > 0);
+  check bool_t "backoff visible in registry" true (co.Runner.backoff_samples > 0)
 
-let test_chaos_slow_stall () =
-  let o = run_plan Plan.slow_stall in
-  assert_ok "slow_stall" o
+let test_chaos_slow_stall () = ignore (run_plan Plan.slow_stall)
 
 let test_chaos_corruption () =
-  let o = run_plan Plan.corruption in
-  assert_ok "corruption" o;
-  let s : Injector.stats = o.stats in
-  check bool_t "corruption injected" true (s.corrupt_dropped > 0);
-  check int_t "checksum caught every flip" 0 s.corrupt_passed
+  let r, _ = run_plan Plan.corruption in
+  let s = r.Runner.stats in
+  check bool_t "corruption injected" true (s.Injector.corrupt_dropped > 0);
+  check int_t "checksum caught every flip" 0 s.Injector.corrupt_passed
 
 let test_chaos_duplication () =
-  let o = run_plan Plan.duplication in
-  assert_ok "duplication" o;
-  check bool_t "duplicates injected" true
-    ((o.stats : Injector.stats).duplicated > 0);
-  check int_t "no duplicate deliveries" 0 (List.length o.report.dups)
+  let r, co = run_plan Plan.duplication in
+  check bool_t "duplicates injected" true (r.Runner.stats.Injector.duplicated > 0);
+  check int_t "no duplicate deliveries" 0
+    (List.length co.Runner.report.Repro_harness.Oracle.dups)
 
-let test_chaos_mayhem () = assert_ok "mayhem" (run_plan Plan.mayhem)
+let test_chaos_mayhem () = ignore (run_plan Plan.mayhem)
 
 let test_plans_validate () =
   List.iter (fun p -> Plan.validate ~n:4 p) Plan.all;
@@ -555,7 +555,8 @@ let test_churn_mayhem () =
 let test_chaos_rejects_churn_plans () =
   Alcotest.match_raises "churn plan refused"
     (function Invalid_argument _ -> true | _ -> false)
-    (fun () -> ignore (Chaos.run ~n:5 Plan.churn_join_leave))
+    (fun () ->
+      ignore (Scenario.of_plan ~n:5 ~per_entity:6 Plan.churn_join_leave))
 
 let () =
   Alcotest.run "fault"

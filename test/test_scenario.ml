@@ -131,6 +131,21 @@ let prop_compile_plans_valid =
            (fun { Workload.at; src; _ } -> at >= 0 && src >= 0 && src < s.Scenario.n)
            c.Scenario.workload)
 
+(* The fixed fault plans as scenarios: valid plans, every entity an
+   observer, the full submission schedule. *)
+let test_of_plan_validates () =
+  List.iter
+    (fun p ->
+      let c = Scenario.of_plan ~n:4 ~per_entity:6 p in
+      Plan.validate ~n:4 c.Scenario.plan;
+      check bool_t (p.Plan.name ^ ": plan kept") true (c.Scenario.plan = p);
+      check (Alcotest.list Alcotest.int)
+        (p.Plan.name ^ ": every entity observes")
+        [ 0; 1; 2; 3 ] c.Scenario.observers;
+      check Alcotest.int (p.Plan.name ^ ": submissions") 24
+        (List.length c.Scenario.workload))
+    Plan.all
+
 (* ------------------------------------------------------------------ *)
 (* WAN delay matrices respect the declared bounds                      *)
 
@@ -288,8 +303,9 @@ let test_loss_free_run_terminates_at_one () =
     results;
   let co = List.find (fun r -> r.Runner.protocol = Runner.Co) results in
   check bool_t "CO causal order clean" true co.Runner.causal_ok;
-  match co.Runner.oracle with
-  | Some report -> check bool_t "CO oracle ok" true (Oracle.ok report)
+  check bool_t "CO verdict" true (Runner.ok co);
+  match co.Runner.co with
+  | Some c -> check bool_t "CO oracle ok" true (Oracle.ok c.Runner.report)
   | None -> Alcotest.fail "CO run must carry an oracle report"
 
 let test_pac_one_implies_oracle_ok () =
@@ -303,10 +319,10 @@ let test_pac_one_implies_oracle_ok () =
         check bool_t
           (s.Scenario.name ^ ": PAC 1.0 implies causal order")
           true r.Runner.causal_ok;
-        match r.Runner.oracle with
-        | Some report ->
+        match r.Runner.co with
+        | Some c ->
           check bool_t (s.Scenario.name ^ ": oracle agrees") true
-            (Oracle.ok report)
+            (Oracle.ok c.Runner.report)
         | None -> Alcotest.fail "missing oracle report"
       end)
     Scenario.builtins
@@ -391,9 +407,10 @@ let test_full_fault_set_every_protocol () =
           in
           match r.Runner.protocol with
           | Runner.Co ->
-            (match r.Runner.oracle with
-            | Some report ->
-              check bool_t (label ^ ": oracle ok") true (Oracle.ok report)
+            (match r.Runner.co with
+            | Some c ->
+              check bool_t (label ^ ": oracle ok") true
+                (Oracle.ok c.Runner.report)
             | None -> Alcotest.fail "CO run must carry an oracle report");
             every_obligation ()
           | Runner.Tobcast -> every_obligation ()
@@ -410,6 +427,41 @@ let test_full_fault_set_every_protocol () =
       check bool_t (s.Scenario.name ^ ": the added faults bite") false
         (String.equal artifact (pac_golden s.Scenario.name)))
     Scenario.builtins
+
+(* A partition that never heals leaves each side without the other's
+   messages: order stays exact, but the one verdict must fail. *)
+let test_unhealed_partition_fails_verdict () =
+  let plan =
+    {
+      Plan.name = "split_forever";
+      description = "{0,1}/{2,3} from 20ms, never healed";
+      events =
+        [ { Plan.at = Simtime.of_ms 20; action = Plan.Partition [ [ 0; 1 ]; [ 2; 3 ] ] } ];
+      horizon = Simtime.of_ms 200;
+    }
+  in
+  let compiled = Scenario.of_plan ~n:4 ~per_entity:6 plan in
+  let r = Runner.run ~compiled ~seed:1 Runner.Co in
+  check bool_t "causal order still exact" true r.Runner.causal_ok;
+  check bool_t "verdict fails on the shortfall" false (Runner.ok r)
+
+(* One down-schedule serves every protocol: each fixed plan fires the same
+   submissions under the baselines as under CO. *)
+let test_plans_same_submissions_every_protocol () =
+  List.iter
+    (fun p ->
+      let compiled = Scenario.of_plan ~n:4 ~per_entity:6 p in
+      match
+        List.map
+          (fun proto -> (Runner.run ~compiled ~seed:1 proto).Runner.submitted)
+          Runner.all_protocols
+      with
+      | co :: baselines ->
+        List.iter
+          (fun b -> check Alcotest.int (p.Plan.name ^ ": submitted") co b)
+          baselines
+      | [] -> Alcotest.fail "no protocols")
+    Plan.all
 
 let test_pac_goldens () =
   List.iter
@@ -439,6 +491,8 @@ let () =
             test_compile_rejects_malformed;
           Alcotest.test_case "zipf workload matches quotas" `Quick
             test_zipf_workload_counts_match_quotas;
+          Alcotest.test_case "fault plans as scenarios validate" `Quick
+            test_of_plan_validates;
         ]
         @ qsuite
             [
@@ -459,6 +513,10 @@ let () =
           Alcotest.test_case "full plan on every protocol" `Slow
             test_full_fault_set_every_protocol;
           Alcotest.test_case "golden PAC artifacts" `Slow test_pac_goldens;
+          Alcotest.test_case "unhealed partition fails the verdict" `Quick
+            test_unhealed_partition_fails_verdict;
+          Alcotest.test_case "fault plans fire alike on every protocol" `Slow
+            test_plans_same_submissions_every_protocol;
         ]
         @ qsuite [ prop_pac_curve_monotone ] );
     ]

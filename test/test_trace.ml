@@ -31,7 +31,8 @@ module Critpath = Repro_obs.Critpath
 module Registry = Repro_obs.Registry
 module Exporter = Repro_obs.Exporter
 module Plan = Repro_fault.Plan
-module Chaos = Repro_fault.Chaos
+module Scenario = Repro_scenario.Scenario
+module Runner = Repro_scenario.Runner
 module Jsonx = Repro_analysis.Jsonx
 
 let check = Alcotest.check
@@ -431,16 +432,25 @@ let test_crash_abandons_spans () =
     | Some p -> p
     | None -> Alcotest.fail "no crash_restart plan"
   in
-  let o = Chaos.run ~n:4 ~seed:1 ~tracing:true ~registry:reg plan in
-  check bool_t "chaos run survives with tracing on" true o.Chaos.ok;
+  let r =
+    Runner.run ~tracing:true ~registry:reg
+      ~compiled:(Scenario.of_plan ~n:4 ~per_entity:6 plan)
+      ~seed:1 Runner.Co
+  in
+  check bool_t "chaos run survives with tracing on" true (Runner.ok r);
+  let co =
+    match r.Runner.co with
+    | Some co -> co
+    | None -> Alcotest.fail "CO run must carry its verdict details"
+  in
   let s =
-    match o.Chaos.delay_attribution with
+    match co.Runner.delay_attribution with
     | Some s -> s
     | None -> Alcotest.fail "traced run produced no attribution"
   in
   check bool_t "crash abandoned trace spans" true (s.Critpath.abandoned > 0);
   check int_t "summary and chaos outcome agree on abandoned spans"
-    s.Critpath.abandoned o.Chaos.spans_abandoned;
+    s.Critpath.abandoned co.Runner.spans_abandoned;
   check int_t "attribution is exact despite the crash"
     s.Critpath.end_to_end_us s.Critpath.attributed_us;
   let exported =

@@ -145,7 +145,8 @@ let test_fault_injected_corruption () =
    the wider view — the joiner included as a source — then remove a
    member and converge again in the shrunken view. *)
 let test_view_change_join_then_remove () =
-  let t = Udp.create ~config:fast_config ~n:2 () in
+  let reg = Repro_obs.Registry.create () in
+  let t = Udp.create ~registry:reg ~config:fast_config ~n:2 () in
   Fun.protect ~finally:(fun () -> Udp.close t) @@ fun () ->
   Udp.submit t ~src:0 "e0-a";
   Udp.submit t ~src:1 "e0-b";
@@ -188,7 +189,22 @@ let test_view_change_join_then_remove () =
     "post-removal delivery"
     [ "e1-from-joiner"; "e1-reply"; "e2-c" ]
     (payloads t ~entity:1);
-  check int_t "two view changes" 2 (Udp.view_changes t)
+  check int_t "two view changes" 2 (Udp.view_changes t);
+  (* One series per committed epoch, registered where the commit happens;
+     a registry sync adds no unlabelled twin. *)
+  Udp.sync_registry t;
+  check
+    Alcotest.(list (pair (list (pair string string)) int))
+    "co_view_changes_total series"
+    [ ([ ("epoch", "1") ], 1); ([ ("epoch", "2") ], 1) ]
+    (List.filter_map
+       (fun (smp : Repro_obs.Registry.sample) ->
+         match smp.value with
+         | Repro_obs.Registry.Sample_counter v
+           when smp.family = "co_view_changes_total" ->
+           Some (smp.labels, v)
+         | _ -> None)
+       (Repro_obs.Registry.samples reg))
 
 let test_view_change_requires_reconciliation () =
   let t = Udp.create ~config:fast_config ~n:2 () in

@@ -29,7 +29,8 @@ module Simtime = Repro_sim.Simtime
 module Udp = Repro_transport.Udp_cluster
 module Wirestats = Repro_obs.Wirestats
 module Plan = Repro_fault.Plan
-module Chaos = Repro_fault.Chaos
+module Scenario = Repro_scenario.Scenario
+module Runner = Repro_scenario.Runner
 module Oracle = Repro_harness.Oracle
 
 let check = Alcotest.check
@@ -456,9 +457,17 @@ let prop_wire_differential =
 
 (* --- The 7 named fault plans, v1 vs v2 --- *)
 
-let check_outcomes_equal name (o1 : Chaos.outcome) (o2 : Chaos.outcome) =
-  check (Alcotest.list int_t) (name ^ ": live") o1.live o2.live;
-  check int_t (name ^ ": expected") o1.expected o2.expected;
+let co_of r =
+  match r.Runner.co with
+  | Some co -> co
+  | None -> Alcotest.fail "CO run must carry its verdict details"
+
+let check_outcomes_equal name r1 r2 =
+  let o1 = co_of r1 and o2 = co_of r2 in
+  check (Alcotest.list int_t) (name ^ ": live") o1.Runner.live o2.Runner.live;
+  check int_t (name ^ ": submitted") r1.Runner.submitted r2.Runner.submitted;
+  check int_t (name ^ ": expected") o1.report.Oracle.expected
+    o2.report.Oracle.expected;
   check int_t (name ^ ": entities compared")
     (Array.length o1.delivery_orders)
     (Array.length o2.delivery_orders);
@@ -477,19 +486,19 @@ let check_outcomes_equal name (o1 : Chaos.outcome) (o2 : Chaos.outcome) =
     o1.report.Oracle.delivered_per_entity o2.report.Oracle.delivered_per_entity;
   check keys_t (name ^ ": missing") o1.report.Oracle.missing
     o2.report.Oracle.missing;
-  check bool_t (name ^ ": verdict") o1.ok o2.ok;
+  check bool_t (name ^ ": verdict") (Runner.ok r1) (Runner.ok r2);
   (* Equality alone would also pass on two identically-broken runs; the
      plans are required to survive at this seed (as in test_fault). *)
-  if not o1.ok then
-    Alcotest.failf "%s failed under both wires:@.%a" name Chaos.pp_outcome o1
+  if not (Runner.ok r1) then
+    Alcotest.failf "%s failed under both wires:@.%a" name Runner.pp r1
 
 let test_plan_differential name () =
   let plan =
     match Plan.find name with Some p -> p | None -> Alcotest.failf "no plan %s" name
   in
-  let o1 = Chaos.run ~n:4 ~seed:1 ~wire:Config.V1 plan in
-  let o2 = Chaos.run ~n:4 ~seed:1 ~wire:Config.V2 plan in
-  check_outcomes_equal name o1 o2
+  let compiled = Scenario.of_plan ~n:4 ~per_entity:6 plan in
+  let run wire = Runner.run ~wire ~compiled ~seed:1 Runner.Co in
+  check_outcomes_equal name (run Config.V1) (run Config.V2)
 
 (* --- Mixed-version cluster: a rolling upgrade on a real wire --- *)
 
