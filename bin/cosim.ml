@@ -59,11 +59,7 @@ let arm_snapshots ~interval_ms ~workload ~table ~series cluster =
   let n = Cluster.size cluster in
   let quiescent () =
     List.for_all
-      (fun i ->
-        let e = Cluster.entity cluster i in
-        Repro_core.Entity.undelivered_data e = 0
-        && Repro_core.Entity.pending_count e = 0
-        && Repro_core.Entity.queued_requests e = 0)
+      (fun i -> Repro_core.Entity.backlog (Cluster.entity cluster i) = 0)
       (List.init n Fun.id)
   in
   let rec tick () =

@@ -1,6 +1,9 @@
 open Repro_core
 module Pdu = Repro_pdu.Pdu
 module Codec = Repro_pdu.Codec
+module Memberwire = Repro_pdu.Memberwire
+module Group = Repro_member.Group
+module View = Repro_member.View
 
 (* One scripted membership change, committed by an explicit [Cut] event once
    the epoch-0 script is exhausted and the members have reconciled. *)
@@ -207,65 +210,34 @@ let next_submission sys =
   else if sys.epoch > 0 then List.nth_opt sys.cfg.post_script sys.post_pos
   else None
 
-let drained e =
-  Entity.undelivered_data e = 0
-  && Entity.pending_count e = 0
-  && Entity.queued_requests e = 0
-
 (* The barrier's commit precondition, explorer-style: the epoch-0 script is
-   spent, every member has drained its protocol work and all REQ vectors
-   agree — the reconciled cut. Copies may still sit in flight: duplicates
-   of already-accepted PDUs (the stale stragglers the new epoch must fence)
-   and copies nobody accepted, which the cut uniformly forgets — legal
-   under view synchrony, since no member delivered them. *)
-let reconciled sys =
-  let r0 = Entity.req sys.entities.(0) in
-  Array.for_all (fun e -> drained e && Entity.req e = r0) sys.entities
-
+   spent and the members have reached the reconciled cut (Group.reconciled).
+   Copies may still sit in flight: duplicates of already-accepted PDUs (the
+   stale stragglers the new epoch must fence) and copies nobody accepted,
+   which the cut uniformly forgets — legal under view synchrony, since no
+   member delivered them. *)
 let cut_enabled sys =
   sys.cfg.churn <> None && sys.epoch = 0
   && sys.script_pos >= List.length sys.cfg.script
-  && reconciled sys
+  && Group.reconciled sys.entities
 
 let do_cut sys =
   let old = sys.entities in
-  let n_old = Array.length old in
-  let r = Entity.req old.(0) in
-  let epoch = sys.epoch + 1 in
-  let n_new, map =
-    match sys.cfg.churn with
-    | Some Join -> (n_old + 1, fun k -> if k < n_old then Some k else None)
-    | Some (Leave l) -> (n_old - 1, fun k -> Some (if k < l then k else k + 1))
-    | None -> assert false
+  let req = Entity.req old.(0) in
+  let closing =
+    { View.epoch = sys.epoch; members = Array.init (Array.length old) Fun.id }
   in
-  let inv = Array.make n_old (-1) in
-  for k = 0 to n_new - 1 do
-    match map k with Some o -> inv.(o) <- k | None -> ()
-  done;
-  let req' =
-    Array.init n_new (fun k -> match map k with Some o -> r.(o) | None -> 1)
+  let next =
+    Result.get_ok
+      (View.apply closing
+         (match sys.cfg.churn with
+         | Some Join -> Memberwire.Join (Array.length old)
+         | Some (Leave l) -> Memberwire.Leave l
+         | None -> assert false))
   in
-  let remap_vec v =
-    Array.init n_new (fun k -> match map k with Some o -> v.(o) | None -> 1)
-  in
-  (* Mirror of Group.translate: only the sub-cut history of surviving
-     sources crosses the boundary, re-homed into the new rank space. *)
-  let headers_of e =
-    List.filter_map
-      (fun (src, seq, ack) ->
-        if inv.(src) >= 0 && seq < r.(src) then
-          Some (inv.(src), seq, remap_vec ack)
-        else None)
-      (Entity.header_entries e)
-  in
-  let config' =
-    {
-      sys.cfg.protocol with
-      Config.cid =
-        Repro_member.Group.epoch_cid ~cid:sys.cfg.protocol.Config.cid ~epoch;
-      epoch;
-    }
-  in
+  let n_new = View.size next in
+  let map = View.rank_map ~closing ~next in
+  let config' = Group.epoch_config sys.cfg.protocol ~epoch:next.View.epoch in
   (* Survivors keep their queues of stale old-epoch copies under their new
      rank; the joiner starts clean; the leaver's queue dies with its NIC.
      Fresh timer queues are the explorer's generation guard: a closed
@@ -274,7 +246,7 @@ let do_cut sys =
     Array.init n_new (fun k ->
         match map k with Some o -> sys.inflight.(o) | None -> []);
   sys.timers <- Array.init n_new (fun _ -> Queue.create ());
-  sys.epoch <- epoch;
+  sys.epoch <- next.View.epoch;
   (* The joiner restores the very bytes the sponsor (lowest-ranked
      survivor) would build for its rank — Group ships them as the
      co-checkpoint-v1 state transfer. *)
@@ -285,8 +257,7 @@ let do_cut sys =
           match map k with Some o -> old.(o) | None -> old.(sponsor)
         in
         let blob =
-          Entity.bootstrap_checkpoint ~config:config' ~id:k ~n:n_new ~req:req'
-            ~headers:(headers_of basis)
+          Group.bootstrap sys.cfg.protocol ~closing ~next ~req ~rank:k basis
         in
         match
           Entity.restore ~expect_id:k ~expect_n:n_new ~config:config'

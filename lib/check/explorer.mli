@@ -13,11 +13,12 @@
     - [Fire] — run an entity's oldest pending timer;
     - [Cut] — commit the configured membership change (one [Join] or
       [Leave] per run). Enabled only once the epoch-0 script is spent and
-      the members have reconciled (equal REQ vectors, all protocol work
-      drained) — the view-change barrier's commit precondition. The cut
-      closes the epoch, rebuilds the next view's entities from remapped
-      {!Repro_core.Entity.bootstrap_checkpoint} blobs (the joiner from the
-      sponsor's bytes, as in the co-checkpoint-v1 state transfer) and
+      the members meet {!Repro_member.Group.reconciled} (equal REQ
+      vectors, all protocol work drained) — the view-change barrier's
+      commit precondition. The cut closes the epoch, rebuilds the next
+      view's entities from {!Repro_member.Group.bootstrap} blobs — the
+      shipping cut, not a copy of it (the joiner from the sponsor's bytes,
+      as in the co-checkpoint-v1 state transfer) — and
       abandons the old timers, but deliberately leaves stale old-epoch
       copies in flight: delivering one after the cut exercises the
       entity-level cid guard, watched by the monitor's

@@ -1006,6 +1006,7 @@ let pending_count t =
   Array.fold_left (fun acc h -> acc + Hashtbl.length h) 0 t.pending
 let queued_requests t = Queue.length t.dt_queue
 let undelivered_data t = t.undelivered
+let backlog t = undelivered_data t + pending_count t + queued_requests t
 let metrics t = t.metrics
 let config t = t.config
 let rrl_list t ~src = Logs.Receipt.rrl_to_list t.logs ~src

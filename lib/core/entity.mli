@@ -267,6 +267,14 @@ val queued_requests : t -> int
 val undelivered_data : t -> int
 (** Data PDUs accepted but not yet acknowledged here. 0 at quiescence. *)
 
+val backlog : t -> int
+(** Protocol work this entity still owes: [undelivered_data + pending_count
+    + queued_requests]. Every term is non-negative, so [backlog = 0] is
+    exactly "drained" — nothing accepted and undelivered, nothing parked
+    awaiting gap repair, no DT request blocked by the flow condition. The
+    one quiescence predicate the hosts, the watchdog and the view-change
+    precondition share. *)
+
 val metrics : t -> Metrics.t
 
 val config : t -> Config.t

@@ -14,9 +14,6 @@ type t = {
   mutable departures : int;
 }
 
-let backlog e =
-  Entity.undelivered_data e + Entity.pending_count e + Entity.queued_requests e
-
 let notify t id verdict =
   match t.on_suspect with None -> () | Some f -> f id verdict
 
@@ -26,7 +23,9 @@ let check t =
      "someone is waiting on it" signal that separates a dead peer from a
      merely quiet cluster. *)
   let live_backlog =
-    List.fold_left (fun acc id -> acc + backlog (Cluster.entity t.cluster id)) 0 live
+    List.fold_left
+      (fun acc id -> acc + Entity.backlog (Cluster.entity t.cluster id))
+      0 live
   in
   for id = 0 to Cluster.size t.cluster - 1 do
     if List.mem id live then begin
@@ -34,7 +33,7 @@ let check t =
          entity object (and resets its counters). *)
       let e = Cluster.entity t.cluster id in
       let delivered = (Entity.metrics e).delivered in
-      let b = backlog e in
+      let b = Entity.backlog e in
       let progressed =
         delivered > t.last_delivered.(id) || b < t.last_backlog.(id)
       in

@@ -41,6 +41,53 @@ let default_config ~max_nodes =
    entity's receive-path cid guard is exactly the epoch guard. *)
 let epoch_cid ~cid ~epoch = (cid lsl 20) lor (epoch + 1)
 
+let epoch_config base ~epoch =
+  { base with Config.cid = epoch_cid ~cid:base.Config.cid ~epoch; epoch }
+
+(* ------------------------------------------------------------------ *)
+(* Epoch cut-over: the one translation of a closing epoch's reconciled
+   state into the next view, shared by every host that commits views.  *)
+
+(* Column maxima of a REQ matrix, floored at 1: the reconciled cut. *)
+let cut_req m =
+  Array.init (Array.length m) (fun k ->
+      Array.fold_left (fun acc row -> max acc row.(k)) 1 m)
+
+let reconciled entities =
+  let r0 = Entity.req entities.(0) in
+  Array.for_all (fun e -> Entity.backlog e = 0 && Entity.req e = r0) entities
+
+(* REQ carries over per surviving source (a joiner's column starts at 1),
+   and the accepted-header table is re-homed the same way so
+   Transitive-mode reach computation keeps terminating across the cut. *)
+let bootstrap base ~closing ~next ~req ~rank basis =
+  let n_new = View.size next in
+  let map = View.rank_map ~closing ~next in
+  let inv = Array.make (View.size closing) (-1) in
+  for r = 0 to n_new - 1 do
+    match map r with Some o -> inv.(o) <- r | None -> ()
+  done;
+  let remap_vec v =
+    Array.init n_new (fun r -> match map r with Some o -> v.(o) | None -> 1)
+  in
+  let headers =
+    (* Quiesced entities keep confirming while the coordinator converges,
+       so the table can hold entries at or above the cut — empty sequenced
+       confirmations the commit uniformly forgets (every member restarts
+       from the same REQ, and senders reuse those numbers in the new
+       epoch). Only the sub-cut history of surviving sources crosses the
+       boundary. *)
+    List.filter_map
+      (fun (src, seq, ack) ->
+        if inv.(src) >= 0 && seq < req.(src) then
+          Some (inv.(src), seq, remap_vec ack)
+        else None)
+      (Entity.header_entries basis)
+  in
+  Entity.bootstrap_checkpoint
+    ~config:(epoch_config base ~epoch:next.View.epoch)
+    ~id:rank ~n:n_new ~req:(remap_vec req) ~headers
+
 (* Coordinator-side barrier for one view change. *)
 type barrier = {
   b_change : Memberwire.change;
@@ -152,13 +199,6 @@ let ucast_control t ~src ~dst frame =
 
 let base_cid t = t.config.protocol.Config.cid
 
-let entity_config t ~epoch =
-  {
-    t.config.protocol with
-    Config.cid = epoch_cid ~cid:(base_cid t) ~epoch;
-    epoch;
-  }
-
 (* ------------------------------------------------------------------ *)
 (* Entity installation                                                 *)
 
@@ -188,7 +228,7 @@ let wire_actions t nd ~view =
 let install t nd ~view ~rank ~via =
   nd.generation <- nd.generation + 1;
   let actions = wire_actions t nd ~view in
-  let config = entity_config t ~epoch:view.View.epoch in
+  let config = epoch_config t.config.protocol ~epoch:view.View.epoch in
   let e =
     match via with
     | `Create -> Entity.create ~config ~id:rank ~n:(View.size view) ~actions
@@ -298,15 +338,12 @@ let converged b =
 
 let try_commit t nd b =
   if b.b_commit = None && converged b then begin
-    let reqs = reqs_matrix b in
-    let n = View.size b.b_closing in
     (* Every required row is identical; lift the evictee's presumed row to
        the common vector too so close_epoch opens every gate. *)
-    let r_final =
-      Array.init n (fun k ->
-          Array.fold_left (fun acc row -> max acc row.(k)) 1 reqs)
+    let r_final = cut_req (reqs_matrix b) in
+    let cut =
+      Array.init (View.size b.b_closing) (fun _ -> Array.copy r_final)
     in
-    let cut = Array.init n (fun _ -> Array.copy r_final) in
     let frame =
       Memberwire.Commit { cid = base_cid t; view = b.b_next; cut }
     in
@@ -453,44 +490,6 @@ let begin_transfer t nd ~target frame =
 (* ------------------------------------------------------------------ *)
 (* Epoch cut-over (everyone, on Commit)                                *)
 
-(* Translate the closing epoch's converged state into the next view's rank
-   space: REQ carries over per surviving source (a joiner's column starts
-   at 1), and the accepted-header table is re-homed the same way so
-   Transitive-mode reach computation keeps terminating across the cut. *)
-let translate ~closing ~next ~cut e =
-  let n_old = View.size closing in
-  let n_new = View.size next in
-  let r_final =
-    Array.init n_old (fun k ->
-        Array.fold_left (fun acc row -> max acc row.(k)) 1 cut)
-  in
-  let map = View.rank_map ~closing ~next in
-  let req' =
-    Array.init n_new (fun r ->
-        match map r with Some o -> r_final.(o) | None -> 1)
-  in
-  let inv = Array.make n_old (-1) in
-  for r = 0 to n_new - 1 do
-    match map r with Some o -> inv.(o) <- r | None -> ()
-  done;
-  let remap_vec v =
-    Array.init n_new (fun r -> match map r with Some o -> v.(o) | None -> 1)
-  in
-  let headers =
-    (* Quiesced entities keep confirming while the coordinator converges,
-       so the table can hold entries at or above the cut — empty sequenced
-       confirmations the commit uniformly forgets (every member restarts
-       from the same REQ, and senders reuse those numbers in the new
-       epoch). Only the sub-cut history crosses the boundary. *)
-    List.filter_map
-      (fun (src, seq, ack) ->
-        if inv.(src) >= 0 && seq < r_final.(src) then
-          Some (inv.(src), seq, remap_vec ack)
-        else None)
-      (Entity.header_entries e)
-  in
-  (req', headers)
-
 let handle_commit t nd (next : View.t) cut =
   match (nd.view, nd.entity) with
   | Some v, Some e when v.View.epoch + 1 = next.View.epoch ->
@@ -518,23 +517,20 @@ let handle_commit t nd (next : View.t) cut =
         failwith
           (Printf.sprintf
              "Group: node %d crossed the barrier with unflushed state" nd.gid);
-      let req', headers' = translate ~closing:v ~next ~cut e in
+      let blob =
+        bootstrap t.config.protocol ~closing:v ~next ~req:(cut_req cut)
+      in
       (match View.rank next ~node:nd.gid with
       | Some r ->
-        let blob =
-          Entity.bootstrap_checkpoint
-            ~config:(entity_config t ~epoch:next.View.epoch)
-            ~id:r ~n:(View.size next) ~req:req' ~headers:headers'
-        in
-        install t nd ~view:next ~rank:r ~via:(`Restore blob);
+        install t nd ~view:next ~rank:r ~via:(`Restore (blob ~rank:r e));
         Entity.kick (Option.get nd.entity)
       | None ->
         (* We left (or were evicted while still listening): retire. *)
         drop_membership t nd);
       if next.View.epoch > t.latest.View.epoch then t.latest <- next;
       (* Sponsor duty: the lowest-id survivor ships each joiner its
-         bootstrap blob. Built from the same (req', headers') every
-         survivor computes — the joiner restores byte-identical state. *)
+         bootstrap blob, built from its own entity like every survivor's —
+         the joiner restores byte-identical state. *)
       Array.iter
         (fun g ->
           if not (View.mem v g) then begin
@@ -542,11 +538,6 @@ let handle_commit t nd (next : View.t) cut =
             if sponsor = nd.gid then begin
               match View.rank next ~node:g with
               | Some jr ->
-                let jblob =
-                  Entity.bootstrap_checkpoint
-                    ~config:(entity_config t ~epoch:next.View.epoch)
-                    ~id:jr ~n:(View.size next) ~req:req' ~headers:headers'
-                in
                 begin_transfer t nd ~target:g
                   (Memberwire.State
                      {
@@ -554,7 +545,7 @@ let handle_commit t nd (next : View.t) cut =
                        sponsor = nd.gid;
                        target = g;
                        view = next;
-                       checkpoint = jblob;
+                       checkpoint = blob ~rank:jr e;
                      })
               | None -> ()
             end
@@ -614,10 +605,9 @@ let handle_reconcile t nd ~epoch reqs =
     | None -> ()
     | Some my_rank ->
       let n = View.size v in
+      let r_final = cut_req reqs in
       for k = 0 to n - 1 do
-        let r_k =
-          Array.fold_left (fun acc row -> max acc row.(k)) 1 reqs
-        in
+        let r_k = r_final.(k) in
         let holder = ref (-1) in
         for j = n - 1 downto 0 do
           if reqs.(j).(k) = r_k then holder := j
@@ -895,9 +885,7 @@ let outstanding_work t =
   Array.fold_left
     (fun acc nd ->
       match nd.entity with
-      | Some e when not nd.down ->
-        acc + Entity.undelivered_data e + Entity.pending_count e
-        + Entity.queued_requests e
+      | Some e when not nd.down -> acc + Entity.backlog e
       | _ -> acc)
     0 t.nodes
 
@@ -951,16 +939,7 @@ let install_suspicion t ~period ?stall_threshold ?departure_threshold ~until ()
 let run ?until ?max_events t = Engine.run ?until ?max_events t.engine
 
 let settled t =
-  (not (barrier_active t))
-  && Array.for_all
-       (fun nd ->
-         match nd.entity with
-         | Some e when not nd.down ->
-           Entity.undelivered_data e = 0
-           && Entity.pending_count e = 0
-           && Entity.queued_requests e = 0
-         | _ -> true)
-       t.nodes
+  (not (barrier_active t)) && outstanding_work t = 0
 
 (* Drain the event queue (timer-driven recovery and barrier machinery keep
    it non-empty exactly while there is protocol work left), then judge.

@@ -38,7 +38,8 @@
     {2 State carry and transfer}
 
     After the flush, each survivor's next-epoch entity is built by
-    restoring a {!Repro_core.Entity.bootstrap_checkpoint} — the common
+    restoring the {!bootstrap} blob — a
+    {!Repro_core.Entity.bootstrap_checkpoint} of the common
     post-barrier state with clocks and header tables remapped to the new
     view's rank space ({!View.rank_map}); sequence numbers continue across
     epochs. A joiner cannot build that blob itself (it needs the closing
@@ -51,7 +52,9 @@
 
     All membership frames ride the same lossy, overrun-prone medium as data
     PDUs; every control-plane step above is idempotent and timer-driven, so
-    lost frames delay a barrier rather than wedge it. Not modeled:
+    a lost frame only delays a barrier. A barrier can still wedge when
+    suspicion declares a live member departed while a crashed one is
+    still required (DESIGN.md §16). Not modeled:
     coordinator failure mid-barrier (the coordinator is assumed to survive
     the barriers it conducts). *)
 
@@ -93,6 +96,48 @@ val epoch_cid : cid:int -> epoch:int -> int
 (** The effective cluster id of epoch [epoch] under base cluster id [cid]
     — injective per (base, epoch < 2^20), never equal to another epoch's,
     so the entity-level cid guard doubles as the epoch guard. *)
+
+val epoch_config : Repro_core.Config.t -> epoch:int -> Repro_core.Config.t
+(** [epoch_config base ~epoch] is the entity configuration of epoch [epoch]
+    under the base template [base]: [base] with [epoch] set and [cid]
+    replaced by {!epoch_cid}. *)
+
+(** {2 Epoch cut-over}
+
+    The one translation of a closing epoch's reconciled state into the next
+    view, shared by every host that commits views: this module's barrier,
+    [Udp_cluster.commit_view_change] over real sockets and the model
+    checker's [Cut] event. A host without global node ids describes its
+    change in rank space — the closing view [{ epoch; members = [|0..n-1|] }]
+    and its {!View.apply} with [Join n] or [Leave l]. *)
+
+val reconciled : Repro_core.Entity.t array -> bool
+(** The cut's precondition, checked over a whole (non-empty) view: every
+    entity is drained ({!Repro_core.Entity.backlog} [= 0]) and all REQ
+    vectors are equal. Copies still in flight are then duplicates the next
+    epoch's cid guard fences, or PDUs nobody accepted, which the cut
+    uniformly forgets. *)
+
+val bootstrap :
+  Repro_core.Config.t ->
+  closing:View.t ->
+  next:View.t ->
+  req:int array ->
+  rank:int ->
+  Repro_core.Entity.t ->
+  string
+(** [bootstrap base ~closing ~next ~req ~rank basis] is the
+    [co-checkpoint-v1] blob that opens epoch [next.epoch] at rank [rank] of
+    [next] ({!Repro_core.Entity.bootstrap_checkpoint} under
+    {!epoch_config}). [req] is the closing epoch's reconciled REQ vector;
+    it carries over per surviving source through {!View.rank_map}, and a
+    joiner's column starts at 1. [basis] is the closing-epoch entity whose
+    accepted-header table crosses the cut: the member's own for a survivor,
+    its sponsor's for a joiner. Only entries of surviving sources below the
+    cut ([seq < req.(src)]) cross, re-homed with their ACK vectors remapped
+    the same way; entries at or above it are sequenced empties sent while
+    quiescing, which every member forgets alike.
+    @raise Invalid_argument as {!Repro_core.Entity.bootstrap_checkpoint}. *)
 
 type t
 

@@ -225,13 +225,7 @@ let run_co ~max_events ~wire ~tracing ~registry
       List.for_all (fun e -> delivered_set cluster e = reference) rest
   in
   let quiescent =
-    List.for_all
-      (fun e ->
-        let ent = Cluster.entity cluster e in
-        Entity.undelivered_data ent = 0
-        && Entity.pending_count ent = 0
-        && Entity.queued_requests ent = 0)
-      live
+    List.for_all (fun e -> Entity.backlog (Cluster.entity cluster e) = 0) live
   in
   let recorder = Cluster.recorder cluster in
   let delay_attribution =

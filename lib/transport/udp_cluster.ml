@@ -7,6 +7,8 @@ module Registry = Repro_obs.Registry
 module Wirestats = Repro_obs.Wirestats
 module Trace_ctx = Repro_obs.Trace_ctx
 module Monoclock = Repro_util.Monoclock
+module Group = Repro_member.Group
+module View = Repro_member.View
 
 type timer = { at : Simtime.t; fn : unit -> unit }
 
@@ -216,6 +218,13 @@ let attach_probes t =
       t.nodes
   | None -> ()
 
+(* A nonblocking datagram socket bound to an ephemeral loopback port. *)
+let bind_loopback () =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
+  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.set_nonblock fd;
+  fd
+
 let create ?registry ?(loss = 0.) ?(seed = 0) ?(config = Config.default) ?wires
     ?traced ~n () =
   if n < 2 then invalid_arg "Udp_cluster.create: n must be >= 2";
@@ -235,13 +244,7 @@ let create ?registry ?(loss = 0.) ?(seed = 0) ?(config = Config.default) ?wires
       if Array.length tr <> n then invalid_arg "Udp_cluster.create: traced";
       Array.copy tr
   in
-  let sockets =
-    Array.init n (fun _ ->
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
-        Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-        Unix.set_nonblock fd;
-        fd)
-  in
+  let sockets = Array.init n (fun _ -> bind_loopback ()) in
   let addrs = Array.map Unix.getsockname sockets in
   let timers =
     Repro_util.Pqueue.create ~cmp:(fun a b -> Simtime.compare a.at b.at)
@@ -404,10 +407,7 @@ let run_for t ~seconds =
 let quiescent t =
   Array.for_all
     (fun node ->
-      Queue.is_empty node.out
-      && Entity.undelivered_data node.entity = 0
-      && Entity.pending_count node.entity = 0
-      && Entity.queued_requests node.entity = 0)
+      Queue.is_empty node.out && Entity.backlog node.entity = 0)
     t.nodes
 
 let run_until_quiescent t ~max_seconds =
@@ -428,21 +428,12 @@ let run_until_quiescent t ~max_seconds =
 
 type change = Add_node | Remove_node of int
 
-(* The view-change barrier's commit precondition, transport-style: every
-   node has drained its protocol work and egress queue and all REQ vectors
-   agree. Datagrams may still sit in kernel buffers — after the cut they
-   are duplicates of PDUs every member already accepted, and the new
-   epoch's cid guard fences them off. *)
+(* The cut's precondition (Group.reconciled) plus drained egress queues.
+   Datagrams may still sit in kernel buffers — after the cut they are
+   duplicates of PDUs every member already accepted, and the new epoch's
+   cid guard fences them off. *)
 let reconciled t =
-  let r0 = Entity.req t.nodes.(0).entity in
-  Array.for_all
-    (fun node ->
-      Queue.is_empty node.out
-      && Entity.undelivered_data node.entity = 0
-      && Entity.pending_count node.entity = 0
-      && Entity.queued_requests node.entity = 0
-      && Entity.req node.entity = r0)
-    t.nodes
+  quiescent t && Group.reconciled (Array.map (fun node -> node.entity) t.nodes)
 
 let commit_view_change t change =
   if t.closed then invalid_arg "Udp_cluster.commit_view_change: closed";
@@ -458,50 +449,24 @@ let commit_view_change t change =
        (run_until_quiescent)"
   else begin
     let old = t.nodes in
-    let n_old = t.n in
-    let r = Entity.req old.(0).entity in
-    let epoch = t.epoch + 1 in
-    let n_new, map =
-      match change with
-      | Add_node -> (n_old + 1, fun k -> if k < n_old then Some k else None)
-      | Remove_node l -> (n_old - 1, fun k -> Some (if k < l then k else k + 1))
+    let req = Entity.req old.(0).entity in
+    let closing = { View.epoch = t.epoch; members = Array.init t.n Fun.id } in
+    let next =
+      Result.get_ok
+        (View.apply closing
+           (match change with Add_node -> Join t.n | Remove_node l -> Leave l))
     in
-    let inv = Array.make n_old (-1) in
-    for k = 0 to n_new - 1 do
-      match map k with Some o -> inv.(o) <- k | None -> ()
-    done;
-    let req' =
-      Array.init n_new (fun k -> match map k with Some o -> r.(o) | None -> 1)
-    in
-    let remap_vec v =
-      Array.init n_new (fun k -> match map k with Some o -> v.(o) | None -> 1)
-    in
-    (* Mirror of the membership layer's translate: only the sub-cut history
-       of surviving sources crosses the boundary, re-homed into the new
-       rank space. *)
-    let headers_of e =
-      List.filter_map
-        (fun (src, seq, ack) ->
-          if inv.(src) >= 0 && seq < r.(src) then
-            Some (inv.(src), seq, remap_vec ack)
-          else None)
-        (Entity.header_entries e)
-    in
-    let config' =
-      {
-        t.base_config with
-        Config.cid =
-          Repro_member.Group.epoch_cid ~cid:t.base_config.Config.cid ~epoch;
-        epoch;
-      }
-    in
+    let epoch = next.View.epoch in
+    let n_new = View.size next in
+    let map = View.rank_map ~closing ~next in
+    let config' = Group.epoch_config t.base_config ~epoch in
     (* Abandoning the timer queue is the generation guard (see [t.timers]);
        the fresh entities re-arm from [kick] below. *)
     t.timers <-
       Repro_util.Pqueue.create ~cmp:(fun a b -> Simtime.compare a.at b.at);
     t.epoch <- epoch;
     t.view_changes <- t.view_changes + 1;
-    Repro_member.Group.count_view_change t.registry ~epoch;
+    Group.count_view_change t.registry ~epoch;
     let t_ref = ref (Some t) in
     (* The joiner restores the very bytes its sponsor (the lowest-ranked
        survivor) would build for its rank — the co-checkpoint-v1 state
@@ -510,33 +475,25 @@ let commit_view_change t change =
     let sponsor = match map 0 with Some o -> o | None -> assert false in
     t.nodes <-
       Array.init n_new (fun k ->
-          let socket, addr, wire, traced, rev_delivered =
+          let socket, addr, wire, traced, rev_delivered, basis =
             match map k with
             | Some o ->
               (* Survivors keep their sockets: datagrams already in their
                  kernel buffers become the stale stragglers the cid guard
                  must fence. Delivery history continues across epochs. *)
-              ( old.(o).socket,
-                old.(o).addr,
-                old.(o).wire,
-                old.(o).traced,
-                old.(o).rev_delivered )
+              let s = old.(o) in
+              (s.socket, s.addr, s.wire, s.traced, s.rev_delivered, s.entity)
             | None ->
-              let fd = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
-              Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-              Unix.set_nonblock fd;
+              let fd = bind_loopback () in
               ( fd,
                 Unix.getsockname fd,
                 t.base_config.Config.wire,
                 t.base_config.Config.tracing,
-                [] )
-          in
-          let basis =
-            match map k with Some o -> old.(o).entity | None -> old.(sponsor).entity
+                [],
+                old.(sponsor).entity )
           in
           let blob =
-            Entity.bootstrap_checkpoint ~config:config' ~id:k ~n:n_new
-              ~req:req' ~headers:(headers_of basis)
+            Group.bootstrap t.base_config ~closing ~next ~req ~rank:k basis
           in
           make_node t_ref ~id:k ~socket ~addr ~wire ~traced
             ~initial_buf:config'.Config.initial_buf ~rev_delivered

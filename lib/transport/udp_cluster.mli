@@ -69,9 +69,9 @@ val run_for : t -> seconds:float -> unit
     clock (immune to wall-clock steps). *)
 
 val run_until_quiescent : t -> max_seconds:float -> bool
-(** Drive the loop until every entity has no undelivered data, no pending
-    out-of-sequence PDUs and no queued requests (then drain briefly), or the
-    deadline passes. Returns whether quiescence was reached. *)
+(** Drive the loop until every egress queue is empty and every entity is
+    drained ({!Repro_core.Entity.backlog} [= 0]; then drain briefly), or
+    the deadline passes. Returns whether quiescence was reached. *)
 
 (** An administrative membership change. [Add_node] binds a fresh socket
     and joins it as the new view's last rank; [Remove_node l] closes rank
@@ -79,18 +79,17 @@ val run_until_quiescent : t -> max_seconds:float -> bool
 type change = Add_node | Remove_node of int
 
 val reconciled : t -> bool
-(** The view-change barrier's commit precondition: every node has drained
-    its protocol work and egress queue, and all REQ vectors agree.
-    Datagrams may still sit in kernel buffers — after a cut those are
-    duplicates of PDUs every member already accepted, which the next
-    epoch's cid guard fences off. *)
+(** The view-change barrier's commit precondition: every egress queue is
+    empty and the entities meet {!Repro_member.Group.reconciled} (all
+    drained, all REQ vectors equal). Datagrams may still sit in kernel
+    buffers — after a cut those are duplicates of PDUs every member
+    already accepted, which the next epoch's cid guard fences off. *)
 
 val commit_view_change : t -> change -> (unit, string) result
-(** Commit a membership change: close the epoch, remap every survivor's
-    REQ baseline and accepted-header table into the new rank space, and
-    rebuild each member from a {!Repro_core.Entity.bootstrap_checkpoint}
-    under the next epoch's derived cid
-    ({!Repro_member.Group.epoch_cid}). A joiner restores the sponsor's
+(** Commit a membership change: close the epoch and rebuild each member of
+    the next view from the blob {!Repro_member.Group.bootstrap} builds —
+    the same cut the simulated group and the model checker use, with the
+    change described in rank space. A joiner restores the sponsor's
     (rank 0's) blob — the co-checkpoint-v1 state transfer, shipped
     in-process since its socket is born here. The closing epoch's timers
     are abandoned (a dead epoch's heartbeat or RET retry never fires into

@@ -594,6 +594,95 @@ let test_bootstrap_checkpoint_validates () =
            ~headers:[ (1, 2, [| 1; 1; 1 |]) ]))
 
 (* ------------------------------------------------------------------ *)
+(* The epoch cut: Group.bootstrap, the one translation every host uses  *)
+
+let entries_t = Alcotest.(list (triple int int (array int)))
+
+let restore_exn ~config ~id ~n blob =
+  match
+    Entity.restore ~expect_id:id ~expect_n:n ~config ~actions:null_actions blob
+  with
+  | Ok e -> e
+  | Error err ->
+    Alcotest.failf "restore refused: %s"
+      (Format.asprintf "%a" Entity.pp_restore_error err)
+
+let test_cut_translation () =
+  let base = { Config.default with Config.cid = 7 } in
+  let closing = View.initial [| 0; 2; 4 |] in
+  (* The closing epoch's accepted headers at rank 0, past the reconciled
+     cut [3; 3; 2]: sub-cut entries of every source, plus (0,3) and (2,2) —
+     sequenced empties sent while quiescing, at or above the cut. *)
+  let basis =
+    restore_exn ~config:base ~id:0 ~n:3
+      (Entity.bootstrap_checkpoint ~config:base ~id:0 ~n:3 ~req:[| 4; 3; 3 |]
+         ~headers:
+           [
+             (0, 1, [| 1; 1; 1 |]);
+             (0, 2, [| 2; 2; 1 |]);
+             (0, 3, [| 3; 2; 2 |]);
+             (1, 1, [| 2; 1; 1 |]);
+             (1, 2, [| 2; 2; 1 |]);
+             (2, 1, [| 2; 2; 1 |]);
+             (2, 2, [| 2; 2; 2 |]);
+           ])
+  in
+  let req = [| 3; 3; 2 |] in
+  let open_next change ~rank =
+    let next = Result.get_ok (View.apply closing change) in
+    let config = Group.epoch_config base ~epoch:1 in
+    let e =
+      restore_exn ~config ~id:rank ~n:(View.size next)
+        (Group.bootstrap base ~closing ~next ~req ~rank basis)
+    in
+    check int_t "epoch" 1 (Entity.epoch e);
+    check int_t "epoch cid" (Group.epoch_cid ~cid:7 ~epoch:1)
+      (Entity.config e).Config.cid;
+    e
+  in
+  (* Node 2 (rank 1) leaves: its column and its entries go, rank 2 becomes
+     rank 1, and only the survivors' sub-cut entries cross. *)
+  let e = open_next (Memberwire.Leave 2) ~rank:0 in
+  check (Alcotest.array int_t) "leave: req carried" [| 3; 2 |] (Entity.req e);
+  check entries_t "leave: sub-cut survivor entries, re-homed"
+    [ (0, 1, [| 1; 1 |]); (0, 2, [| 2; 1 |]); (1, 1, [| 2; 1 |]) ]
+    (Entity.header_entries e);
+  (* Node 3 joins at rank 2, bootstrapped from its sponsor's table: every
+     source survives, the joiner's REQ column and ACK components start at 1. *)
+  let j = open_next (Memberwire.Join 3) ~rank:2 in
+  check (Alcotest.array int_t) "join: joiner REQ column is 1" [| 3; 3; 1; 2 |]
+    (Entity.req j);
+  check int_t "join: joiner starts at seq 1" 1 (Entity.seq_next j);
+  check entries_t "join: sub-cut entries, ACK vectors remapped"
+    [
+      (0, 1, [| 1; 1; 1; 1 |]);
+      (0, 2, [| 2; 2; 1; 1 |]);
+      (1, 1, [| 2; 1; 1; 1 |]);
+      (1, 2, [| 2; 2; 1; 1 |]);
+      (3, 1, [| 2; 2; 1; 1 |]);
+    ]
+    (Entity.header_entries j)
+
+let test_reconciled () =
+  let config = Config.default in
+  let at req =
+    restore_exn ~config ~id:0 ~n:2
+      (Entity.bootstrap_checkpoint ~config ~id:0 ~n:2 ~req ~headers:[])
+  in
+  check bool_t "equal REQ, drained" true
+    (Group.reconciled [| at [| 2; 3 |]; at [| 2; 3 |] |]);
+  check bool_t "REQ vectors differ" false
+    (Group.reconciled [| at [| 2; 3 |]; at [| 2; 2 |] |]);
+  let busy = at [| 2; 3 |] in
+  (* Nobody confirms, so the flow window fills and the last request queues. *)
+  for _ = 0 to config.Config.window do
+    ignore (Entity.submit busy "m")
+  done;
+  check bool_t "backlog outstanding" true (Entity.backlog busy > 0);
+  check bool_t "not drained" false
+    (Group.reconciled [| busy; at [| 2; 3 |] |])
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "member"
@@ -604,6 +693,12 @@ let () =
           Alcotest.test_case "validate" `Quick test_view_validate;
           Alcotest.test_case "apply" `Quick test_view_apply;
           Alcotest.test_case "rank_map" `Quick test_rank_map;
+        ] );
+      ( "cut",
+        [
+          Alcotest.test_case "leave and join translation" `Quick
+            test_cut_translation;
+          Alcotest.test_case "reconciled precondition" `Quick test_reconciled;
         ] );
       ( "suspicion",
         [
