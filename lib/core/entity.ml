@@ -76,9 +76,9 @@ type t = {
   mutable last_ctl_broadcast_at : Simtime.t;
   headers : int array option array array;
       (* accepted (src, seq) -> ACK; seq-indexed growable per source. The
-         CPI slow path probes a resident's header per comparison, so this
-         must be an array read, not a hash lookup. *)
-  reach_memo : int array option array array; (* (src, seq) -> reach *)
+         Transitive-mode witness computation reads it per predecessor, so
+         this must be an array read, not a hash lookup. *)
+  witness_memo : int array option array array; (* (src, seq) -> reach + 1 *)
   mutable undelivered : int; (* accepted data PDUs not yet acknowledged *)
   metrics : Metrics.t;
   mutable observers : (event -> unit) list;
@@ -126,7 +126,7 @@ let create ~config ~id ~n ~actions =
     last_send_at = -1_000_000_000;
     last_ctl_broadcast_at = -1_000_000_000;
     headers = Array.init n (fun _ -> Array.make 64 None);
-    reach_memo = Array.init n (fun _ -> Array.make 64 None);
+    witness_memo = Array.init n (fun _ -> Array.make 64 None);
     undelivered = 0;
     metrics = Metrics.create ();
     observers = [];
@@ -143,7 +143,7 @@ let set_probe t p = t.probe <- Some p
 let minal t k = Matrix_clock.col_min t.al k
 let minpal t k = Matrix_clock.col_min t.pal k
 
-(* Per-source seq-indexed stores (headers, reach memo). Sequence numbers
+(* Per-source seq-indexed stores (headers, witness memo). Sequence numbers
    start at 1 and the stores are never pruned, so a plain growable array
    beats a hashtable on the lookup-heavy paths. *)
 let store_get store src seq =
@@ -175,39 +175,53 @@ let minal_peers t =
   done;
   !acc
 
-(* Reach vector of an accepted PDU: reach.(m) = highest sequence number from
-   source m whose PDU causally precedes it (0 = none). Computed from the
-   stored headers by following direct predecessors: the PDU (m, ack.(m)-1)
-   for every component m (the self component uses the seq-1 convention built
-   into the ACK self field). Returns [None] while some transitive
-   predecessor has not been accepted yet — the PACK action then defers the
-   PDU, so every vector that is ever memoized is exact. *)
-let rec reach_opt t ~src ~seq =
-  match store_get t.reach_memo src seq with
-  | Some r -> Some r
+(* Reach witness of an accepted PDU: its reach vector plus one, pointwise —
+   w.(m) = 1 + the highest sequence number from source m whose PDU causally
+   precedes it (1 = none). Computed from the stored headers by following
+   direct predecessors: the PDU (m, ack.(m)-1) for every component m (the
+   self component uses the seq-1 convention built into the ACK self field),
+   so w is the pointwise maximum of the ACK and the predecessors' witnesses.
+   The same-source predecessor goes first: its witness usually covers every
+   other component already, and a predecessor (m, ack.(m)-1) with
+   [ack.(m) <= w.(m)] is skipped — transitivity puts it in the causal past
+   of an entry already merged, so its witness is pointwise <= w. Returns
+   [None] while some transitive predecessor has not been accepted yet — the
+   PACK action then defers the PDU, so every vector that is ever memoized is
+   exact. Memoized vectors are shared with the PRL and never mutated. *)
+let rec reach_witness t ~src ~seq =
+  match store_get t.witness_memo src seq with
+  | Some w -> Some w
   | None -> (
     match store_get t.headers src seq with
     | None -> None
-    | Some ack -> (
-      let r = Array.make t.n 0 in
-      let complete = ref true in
+    | Some ack ->
+      let w = Array.make t.n 1 in
+      let complete = ref (merge_pred t w ack src) in
       for m = 0 to t.n - 1 do
-        let base = ack.(m) - 1 in
-        if base > r.(m) then r.(m) <- base;
-        if base >= 1 then begin
-          match reach_opt t ~src:m ~seq:base with
-          | Some pr ->
-            for l = 0 to t.n - 1 do
-              if pr.(l) > r.(l) then r.(l) <- pr.(l)
-            done
-          | None -> complete := false
-        end
+        if !complete && m <> src then complete := merge_pred t w ack m
       done;
-      match !complete with
-      | true ->
-        store_set t.reach_memo src seq r;
-        Some r
-      | false -> None))
+      if !complete then begin
+        store_set t.witness_memo src seq w;
+        Some w
+      end
+      else None)
+
+(* Raise [w] by direct predecessor (m, ack.(m)-1) unless [w] covers it;
+   [false] when its witness is not computable yet. [w] starts at 1, so an
+   uncovered predecessor has seq >= 1. *)
+and merge_pred t w ack m =
+  let a = ack.(m) in
+  if a <= w.(m) then true
+  else begin
+    w.(m) <- a;
+    match reach_witness t ~src:m ~seq:(a - 1) with
+    | Some pw ->
+      for l = 0 to t.n - 1 do
+        if pw.(l) > w.(l) then w.(l) <- pw.(l)
+      done;
+      true
+    | None -> false
+  end
 
 (* Whether the PDU's causal past is fully accepted here, so its reach vector
    (and hence its CPI position) is exact. Always true in Direct mode, which
@@ -215,18 +229,25 @@ let rec reach_opt t ~src ~seq =
 let reach_ready t (p : Pdu.data) =
   match t.config.causality_mode with
   | Config.Direct -> true
-  | Config.Transitive -> reach_opt t ~src:p.src ~seq:p.seq <> None
+  | Config.Transitive -> reach_witness t ~src:p.src ~seq:p.seq <> None
 
-(* The causality-precedence test used for CPI ordering. *)
-let precedes_current t (p : Pdu.data) (q : Pdu.data) =
+(* The witness vector that orders [q] for CPI (see {!Cpi_log}): [p ≺ q] iff
+   same source and [p.seq < q.seq], or [witness_of t q].(p.src) > p.seq.
+   Direct mode: the ACK, giving the paper's one-hop Theorem 4.1 test.
+   Transitive mode: reach + 1, giving the closure; a PDU whose causal past
+   is not known here (a restored resident whose predecessors' headers were
+   not carried over) degrades to the one-hop test through its ACK. *)
+let witness_of t (q : Pdu.data) =
   match t.config.causality_mode with
-  | Config.Direct -> Precedence.precedes p q
-  | Config.Transitive ->
-    if p.src = q.src then p.seq < q.seq
-    else (
-      match reach_opt t ~src:q.src ~seq:q.seq with
-      | Some r -> r.(p.src) >= p.seq
-      | None -> Precedence.precedes p q)
+  | Config.Direct -> q.ack
+  | Config.Transitive -> (
+    match reach_witness t ~src:q.src ~seq:q.seq with
+    | Some w -> w
+    | None -> q.ack)
+
+(* The causality-precedence test CPI applies, read off the witnesses. *)
+let causally_precedes t (p : Pdu.data) (q : Pdu.data) =
+  if p.src = q.src then p.seq < q.seq else (witness_of t q).(p.src) > p.seq
 
 (* Smallest known free buffer in the cluster. A peer's advertisement decays
    back to [initial_buf] once it is older than the RET retry timeout:
@@ -573,34 +594,14 @@ let handle_ctl t (c : Pdu.ctl) =
    layers can prove they catch real bugs: [Skip_cpi_order] appends to PRL in
    receipt order, [Skip_minpal_gate] acknowledges without the minPAL gate. *)
 let pack_scan t =
-  let precedes =
-    match t.config.fault with
-    | Some Config.Skip_cpi_order -> fun _ _ -> false
-    | Some Config.Skip_minpal_gate | Some Config.Skip_epoch_guard | None ->
-      precedes_current t
-  in
-  (* The reach closure is transitive by construction (and the Skip_cpi_order
-     relation trivially so); only the Direct one-hop test needs the lenient
-     full-suffix scan. *)
-  let transitive =
+  (* The reach closure is transitive by construction; only the Direct
+     one-hop test needs the lenient full-suffix scan. *)
+  let transitive = t.config.causality_mode = Config.Transitive in
+  let skip_cpi =
     match t.config.fault with
     | Some Config.Skip_cpi_order -> true
     | Some Config.Skip_minpal_gate | Some Config.Skip_epoch_guard | None ->
-      t.config.causality_mode = Config.Transitive
-  in
-  (* Fast-path witness: the reach closure orders pairs the raw ACK does not
-     reveal (an entity can accept [r] without [r]'s own causal past), so in
-     Transitive mode [maxack] must accumulate [reach + 1], not the ACK —
-     see {!Cpi_log}. [reach_ready] already gated the PDU, so the vector is
-     memoized; the [None] fallback mirrors [precedes_current]'s own
-     degradation to the one-hop test. *)
-  let witness_of (p : Pdu.data) =
-    match (t.config.fault, t.config.causality_mode) with
-    | Some Config.Skip_cpi_order, _ | _, Config.Direct -> None
-    | (Some Config.Skip_minpal_gate | Some Config.Skip_epoch_guard | None), Config.Transitive -> (
-      match reach_opt t ~src:p.src ~seq:p.seq with
-      | Some r -> Some (Array.map (fun x -> x + 1) r)
-      | None -> None)
+      false
   in
   for j = 0 to t.n - 1 do
     (* AL is not touched inside this loop, so the gate is a loop constant. *)
@@ -611,10 +612,11 @@ let pack_scan t =
       match Logs.Receipt.rrl_top t.logs ~src:j with
       | Some p when p.seq < bound && reach_ready t p ->
         ignore (Logs.Receipt.rrl_dequeue t.logs ~src:j);
-        if
-          Logs.Receipt.prl_insert ~precedes ~transitive ?witness:(witness_of p)
-            t.logs p
-        then t.metrics.cpi_fastpath <- t.metrics.cpi_fastpath + 1;
+        (* [reach_ready] already gated the PDU, so its witness is memoized. *)
+        let witness = witness_of t p in
+        if skip_cpi then Logs.Receipt.prl_append ~witness t.logs p
+        else if Logs.Receipt.prl_insert ~transitive ~witness t.logs p then
+          t.metrics.cpi_fastpath <- t.metrics.cpi_fastpath + 1;
         last_ack := Some p.ack;
         (match t.probe with None -> () | Some pr -> pr.on_preack p);
         notify t (Preacknowledged p)
@@ -944,8 +946,6 @@ let signature t =
   addb (Simtime.compare t.last_ctl_broadcast_at 0 >= 0);
   addi t.undelivered;
   Digest.to_hex (Digest.string (Buffer.contents b))
-
-let causally_precedes t p q = precedes_current t p q
 
 let seq_next t = t.seq
 let epoch t = t.config.Config.epoch
@@ -1328,7 +1328,7 @@ let restore ?expect_id ?expect_n ~config ~actions blob =
     (* PRL order is part of the service guarantee: append in saved order
        rather than re-running CPI, whose tie-breaks need not be unique. The
        appends happen after the header section below is read, so Transitive
-       restores can seed the fast-path witness from reach closures. *)
+       restores can compute each resident's reach witness. *)
     let prl_pdus = rpdus () in
     List.iter (Logs.Receipt.arl_enqueue t.logs) (rpdus ());
     for j = 0 to n - 1 do
@@ -1354,19 +1354,12 @@ let restore ?expect_id ?expect_n ~config ~actions blob =
     done;
     if !pos <> len then
       fail (Malformed { at = !pos; what = Printf.sprintf "%d trailing bytes" (len - !pos) });
-    (* As in [pack_scan]: in Transitive mode [maxack] must accumulate
-       reach + 1, or a post-restore fast-path append could land after a
-       transitive successor the raw ACKs do not reveal. *)
-    let witness_of (p : Pdu.data) =
-      match (config.Config.fault, config.Config.causality_mode) with
-      | Some Config.Skip_cpi_order, _ | _, Config.Direct -> None
-      | (Some Config.Skip_minpal_gate | Some Config.Skip_epoch_guard | None), Config.Transitive -> (
-        match reach_opt t ~src:p.src ~seq:p.seq with
-        | Some r -> Some (Array.map (fun x -> x + 1) r)
-        | None -> None)
-    in
+    (* Residents carry the witness [pack_scan] would have stored: later
+       insertions are ordered against it, and in Transitive mode [maxack]
+       must accumulate reach + 1, or a post-restore fast-path append could
+       land after a transitive successor the raw ACKs do not reveal. *)
     List.iter
-      (fun p -> Logs.Receipt.prl_append ?witness:(witness_of p) t.logs p)
+      (fun p -> Logs.Receipt.prl_append ~witness:(witness_of t p) t.logs p)
       prl_pdus;
     (* Derived state: data PDUs accepted but not yet acknowledged sit in
        the RRLs and the PRL. *)

@@ -225,7 +225,8 @@ val causally_precedes :
   t -> Repro_pdu.Pdu.data -> Repro_pdu.Pdu.data -> bool
 (** The precedence test this entity uses for CPI ordering: Theorem 4.1 in
     [Direct] mode, its transitive closure over accepted headers in
-    [Transitive] mode. *)
+    [Transitive] mode. It reads the same witness vectors the PRL stores
+    (see {!Cpi_log}), so it is exactly the order CPI applies. *)
 
 val seq_next : t -> int
 (** Next sequence number this entity will use. *)

@@ -86,8 +86,8 @@ module Receipt = struct
 
   let rrl_to_list t ~src = Ring.to_list t.rrl.(src)
 
-  let prl_insert ?precedes ?transitive ?witness t p =
-    Cpi_log.insert ?precedes ?transitive ?witness t.prl p
+  let prl_insert ?transitive ?witness t p =
+    Cpi_log.insert ?transitive ?witness t.prl p
 
   let prl_append ?witness t p = Cpi_log.append ?witness t.prl p
 

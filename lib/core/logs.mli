@@ -5,8 +5,12 @@
     - [RRL_j] (receipt sublogs): PDUs accepted from source [j], in sequence
       order, awaiting pre-acknowledgment;
     - [PRL]: pre-acknowledged PDUs kept in causality-precedence order by the
-      CPI operation;
-    - [ARL]: acknowledged PDUs, the application delivery queue. *)
+      CPI operation ({!Cpi_log}: a ring of unboxed handles ordered by each
+      entry's stored witness vector, with an O(1) in-order tail append);
+    - [ARL]: acknowledged PDUs, the application delivery queue.
+
+    RRL and ARL are growable rings (acceptance and delivery order are FIFO
+    by construction). *)
 
 module Sending : sig
   type t
@@ -59,17 +63,17 @@ module Receipt : sig
   (** PRL operations. *)
 
   val prl_insert :
-    ?precedes:(Repro_pdu.Pdu.data -> Repro_pdu.Pdu.data -> bool)
-    -> ?transitive:bool -> ?witness:int array -> t -> Repro_pdu.Pdu.data
-    -> bool
-  (** CPI insertion ({!Cpi_log.insert}, lenient semantics). Returns [true]
-      when the O(1) in-order fast path applied; [transitive] and [witness]
-      are {!Cpi_log.insert}'s assertions about [precedes] (a transitive
-      relation needs [witness = reach + 1] for fast-path soundness). *)
+    ?transitive:bool -> ?witness:int array -> t -> Repro_pdu.Pdu.data -> bool
+  (** CPI insertion ({!Cpi_log.insert}, lenient semantics), ordered by the
+      stored witness vectors: [witness] (default: the PDU's ACK, the Direct
+      relation) is the newcomer's, [reach + 1] for the Transitive closure.
+      Returns [true] when the O(1) in-order fast path applied;
+      [transitive] asserts the witness order is transitive. *)
 
   val prl_append : ?witness:int array -> t -> Repro_pdu.Pdu.data -> unit
-  (** Unconditional tail append ({!Cpi_log.append}) — checkpoint restore
-      only, where the saved order is part of the service guarantee. *)
+  (** Unconditional tail append ({!Cpi_log.append}): checkpoint restore,
+      where the saved order is part of the service guarantee, and the
+      seeded [Skip_cpi_order] fault. *)
 
   val prl_top : t -> Repro_pdu.Pdu.data option
   val prl_dequeue : t -> Repro_pdu.Pdu.data option

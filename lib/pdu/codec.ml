@@ -419,20 +419,22 @@ let get rd =
   rd.pos <- rd.pos + 1;
   v
 
+(* Top-level, not a local closure over [rd]: a varint decode allocates
+   nothing. *)
+let rec get_uv_from rd shift acc =
+  let b = get rd in
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b < 0x80 then
+    if b = 0 && shift > 0 then
+      (* A redundant zero group would give the same value a second
+         spelling; every frame has exactly one valid byte string. *)
+      raise (Err (Invalid "v2: non-canonical varint"))
+    else acc
+  else if shift >= 56 then raise (Err (Invalid "v2: varint overflow"))
+  else get_uv_from rd (shift + 7) acc
+
 let get_uv rd =
-  let rec go shift acc =
-    let b = get rd in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b < 0x80 then
-      if b = 0 && shift > 0 then
-        (* A redundant zero group would give the same value a second
-           spelling; every frame has exactly one valid byte string. *)
-        raise (Err (Invalid "v2: non-canonical varint"))
-      else acc
-    else if shift >= 56 then raise (Err (Invalid "v2: varint overflow"))
-    else go (shift + 7) acc
-  in
-  let v = go 0 0 in
+  let v = get_uv_from rd 0 0 in
   if v < 0 then raise (Err (Invalid "v2: varint overflow")) else v
 
 let get_sv rd =
@@ -443,7 +445,11 @@ let get_ack rd ~n =
   (* Guard before allocating, as in the v1 reader: each component is at
      least one byte. *)
   need2 rd n;
-  Array.init n (fun _ -> get_uv rd)
+  let a = Array.make n 0 in
+  for i = 0 to n - 1 do
+    a.(i) <- get_uv rd
+  done;
+  a
 
 let get_data_items rd =
   let cid = get_uv rd in

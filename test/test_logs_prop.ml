@@ -18,6 +18,8 @@ module Pdu = Repro_pdu.Pdu
 module Precedence = Repro_core.Precedence
 module Cpi_log = Repro_core.Cpi_log
 module Logs = Repro_core.Logs
+module Entity = Repro_core.Entity
+module Config = Repro_core.Config
 module Matrix_clock = Repro_clock.Matrix_clock
 module Ring = Repro_util.Ring_buffer
 module Prng = Repro_util.Prng
@@ -27,11 +29,15 @@ let d ~src ~seq ~ack ?(payload = "x") () =
   | Pdu.Data d -> d
   | Pdu.Ret _ | Pdu.Ctl _ -> assert false
 
-(* --- Mini-entity trace generator (as in test_precedence) --- *)
+(* --- Mini-entity trace generator (as in test_precedence) ---
+
+   Entities [senders..n-1] only receive: an observer there sees a trace it
+   took no part in. *)
 
 type mini = { req : int array; mutable next : int }
 
-let gen_trace n steps seed =
+let gen_trace ?senders n steps seed =
+  let senders = Option.value senders ~default:n in
   let rng = Prng.create ~seed in
   let minis = Array.init n (fun _ -> { req = Array.make n 1; next = 1 }) in
   let pdus = Hashtbl.create 64 in
@@ -41,7 +47,7 @@ let gen_trace n steps seed =
   for _ = 1 to steps do
     let actor = Prng.int rng n in
     let m = minis.(actor) in
-    if Prng.bool rng then begin
+    if actor < senders && Prng.bool rng then begin
       let ack = Array.copy m.req in
       ack.(actor) <- m.next;
       let p = d ~src:actor ~seq:m.next ~ack () in
@@ -115,24 +121,27 @@ let reach_closure n pdus =
 
 (* --- Cpi_log vs the lenient list reference --- *)
 
-(* Interleave inserts with head dequeues; after every operation the indexed
-   log must hold exactly the reference list. [precedes]/[transitive] vary
-   per property. *)
-let cpi_differential ?precedes ?(witness_of = fun _ -> None) ~transitive ~n
-    rng schedule =
+(* Interleave inserts with head dequeues (one after each insert with
+   probability 1/[drain_one_in]); after every operation the indexed log must
+   hold exactly the reference list. The order relation goes only to the reference fold
+   and only witnesses go to Cpi_log, so agreement shows that comparing
+   stored witnesses is the relation. Returns the peak occupancy, or [None]
+   on the first disagreement. *)
+let cpi_differential ?precedes ~witness_of ~transitive ~n ~drain_one_in rng
+    schedule =
   let ilog = Cpi_log.create ~n in
   let ref_log = ref [] in
   let ok = ref true in
+  let peak = ref 0 in
   List.iter
     (fun p ->
       if !ok then begin
         ignore
-          (Cpi_log.insert ?precedes ~transitive ?witness:(witness_of p) ilog p
-            : bool);
+          (Cpi_log.insert ~transitive ~witness:(witness_of p) ilog p : bool);
         ref_log := Precedence.cpi_insert_lenient_reference ?precedes !ref_log p;
+        peak := max !peak (Cpi_log.length ilog);
         if not (same_keys (Cpi_log.to_list ilog) !ref_log) then ok := false;
-        (* Occasionally drain one from the head of both. *)
-        if Prng.int rng 3 = 0 then begin
+        if Prng.int rng drain_one_in = 0 then begin
           let popped = Cpi_log.dequeue ilog in
           (match (!ref_log, popped) with
           | q :: rest, Some q' when Pdu.key q = Pdu.key q' -> ref_log := rest
@@ -142,18 +151,49 @@ let cpi_differential ?precedes ?(witness_of = fun _ -> None) ~transitive ~n
         end
       end)
     schedule;
-  !ok && Cpi_log.length ilog = List.length !ref_log
+  if !ok && Cpi_log.length ilog = List.length !ref_log then Some !peak else None
+
+(* Short schedules drain after a third of the inserts. Long ones drain
+   after a sixth, so the log must peak past 128 entries: four capacity
+   doublings from 16, each reached with the ring wrapped (a dequeue since
+   the last doubling put the head past slot 0). *)
+let direct_differential ~steps ~drain_one_in ~min_peak seed =
+  let pdus, _, _ = gen_trace 4 steps seed in
+  let rng = Prng.create ~seed:(seed + 1) in
+  let schedule = lossy_reorder rng pdus in
+  match
+    cpi_differential
+      ~witness_of:(fun (p : Pdu.data) -> p.ack)
+      ~transitive:false ~n:4 ~drain_one_in rng schedule
+  with
+  | Some peak -> peak >= min_peak
+  | None -> false
+
+(* Entity.causally_precedes, Transitive mode, and its witness. *)
+let transitive_differential ~steps ~drain_one_in ~min_peak seed =
+  let n = 4 in
+  let pdus, _, _ = gen_trace n steps seed in
+  let reach = reach_closure n pdus in
+  let precedes (p : Pdu.data) (q : Pdu.data) =
+    if p.src = q.src then p.seq < q.seq
+    else (reach q.src q.seq).(p.src) >= p.seq
+  in
+  let witness_of (p : Pdu.data) = Array.map (fun x -> x + 1) (reach p.src p.seq) in
+  let rng = Prng.create ~seed:(seed + 1) in
+  let schedule = lossy_reorder rng pdus in
+  match
+    cpi_differential ~precedes ~witness_of ~transitive:true ~n ~drain_one_in
+      rng schedule
+  with
+  | Some peak -> peak >= min_peak
+  | None -> false
 
 let prop_cpi_differential_direct =
   QCheck.Test.make
     ~name:"Cpi_log = lenient reference fold (Direct relation, loss+reorder)"
     ~count:1000
     QCheck.(int_bound 1_000_000)
-    (fun seed ->
-      let pdus, _, _ = gen_trace 4 60 seed in
-      let rng = Prng.create ~seed:(seed + 1) in
-      let schedule = lossy_reorder rng pdus in
-      cpi_differential ~transitive:false ~n:4 rng schedule)
+    (direct_differential ~steps:60 ~drain_one_in:3 ~min_peak:0)
 
 let prop_cpi_differential_transitive =
   QCheck.Test.make
@@ -161,21 +201,55 @@ let prop_cpi_differential_transitive =
       "Cpi_log ~transitive:true ~witness = lenient reference fold (reach \
        closure relation)" ~count:1000
     QCheck.(int_bound 1_000_000)
-    (fun seed ->
-      let n = 4 in
-      let pdus, _, _ = gen_trace n 60 seed in
-      let reach = reach_closure n pdus in
-      (* Entity.precedes_current, Transitive mode. *)
-      let precedes (p : Pdu.data) (q : Pdu.data) =
-        if p.src = q.src then p.seq < q.seq
-        else (reach q.src q.seq).(p.src) >= p.seq
-      in
-      let witness_of (p : Pdu.data) =
-        Some (Array.map (fun x -> x + 1) (reach p.src p.seq))
-      in
-      let rng = Prng.create ~seed:(seed + 1) in
-      let schedule = lossy_reorder rng pdus in
-      cpi_differential ~precedes ~witness_of ~transitive:true ~n rng schedule)
+    (transitive_differential ~steps:60 ~drain_one_in:3 ~min_peak:0)
+
+let prop_cpi_differential_direct_long =
+  QCheck.Test.make
+    ~name:
+      "Cpi_log = lenient reference fold past four capacity doublings \
+       (Direct relation)" ~count:1000
+    QCheck.(int_bound 1_000_000)
+    (direct_differential ~steps:700 ~drain_one_in:6 ~min_peak:129)
+
+let prop_cpi_differential_transitive_long =
+  QCheck.Test.make
+    ~name:
+      "Cpi_log = lenient reference fold past four capacity doublings \
+       (reach closure relation)" ~count:1000
+    QCheck.(int_bound 1_000_000)
+    (transitive_differential ~steps:700 ~drain_one_in:6 ~min_peak:129)
+
+(* Deterministic ring wrap at both ends: reverse-order inserts each land at
+   the head, walking it backwards through slot 0 and growing the ring while
+   it is wrapped; in-order appends after a partial drain then wrap the
+   tail. The reference fold sees the same operations. *)
+let test_ring_wraps () =
+  let n = 2 in
+  let pdu seq = d ~src:0 ~seq ~ack:[| seq; 1 |] () in
+  let log = Cpi_log.create ~n in
+  let model = ref [] in
+  let check what =
+    Alcotest.(check (list (pair int int))) what (keys !model)
+      (keys (Cpi_log.to_list log))
+  in
+  for seq = 40 downto 1 do
+    let fast = Cpi_log.insert log (pdu seq) in
+    model := Precedence.cpi_insert_lenient_reference !model (pdu seq);
+    Alcotest.(check bool) "reverse insert is a slow-path head insert"
+      (seq = 40) fast;
+    check (Printf.sprintf "after inserting seq %d" seq)
+  done;
+  for _ = 1 to 30 do
+    ignore (Cpi_log.dequeue log);
+    model := List.tl !model
+  done;
+  for seq = 41 to 100 do
+    Alcotest.(check bool) "in-order insert appends" true
+      (Cpi_log.insert log (pdu seq));
+    model := !model @ [ pdu seq ];
+    check (Printf.sprintf "after appending seq %d" seq)
+  done;
+  Alcotest.(check int) "length" 70 (Cpi_log.length log)
 
 (* Regression pinned by the differential suite: the raw ACK is not a valid
    fast-path witness for the transitive relation. e2 accepts p then sends r;
@@ -190,19 +264,11 @@ let test_transitive_witness_regression () =
   let reach = reach_closure n [ p; r; q ] in
   Alcotest.(check (array int))
     "reach closure sees p through r" [| 1; 1; 0 |] (reach 2 1);
-  let precedes (a : Pdu.data) (b : Pdu.data) =
-    if a.src = b.src then a.seq < b.seq
-    else (reach b.src b.seq).(a.src) >= a.seq
-  in
   let witness (x : Pdu.data) = Array.map (fun v -> v + 1) (reach x.src x.seq) in
   let log = Cpi_log.create ~n in
-  let fast_q =
-    Cpi_log.insert ~precedes ~transitive:true ~witness:(witness q) log q
-  in
+  let fast_q = Cpi_log.insert ~transitive:true ~witness:(witness q) log q in
   Alcotest.(check bool) "q appends fast into an empty log" true fast_q;
-  let fast_p =
-    Cpi_log.insert ~precedes ~transitive:true ~witness:(witness p) log p
-  in
+  let fast_p = Cpi_log.insert ~transitive:true ~witness:(witness p) log p in
   Alcotest.(check bool) "p must not take the tail fast path" false fast_p;
   Alcotest.(check (list (pair int int)))
     "p lands before its transitive successor"
@@ -228,6 +294,63 @@ let prop_cpi_fastpath_consistent =
             assert (same_keys (Cpi_log.to_list ilog) (before @ [ p ])))
         pdus;
       Cpi_log.fastpath_count ilog + Cpi_log.slowpath_count ilog = !inserted)
+
+(* --- Entity reach witnesses vs the closure ---
+
+   An observer entity, silent in the trace, is fed a lossy reordered copy
+   of it. Where the observer accepted [q] and all of [q]'s causal past, its
+   CPI relation must be the closure; elsewhere (headers missing) it
+   degrades to the one-hop Theorem 4.1 test. This pins the cheaper witness
+   computation (same-source predecessor first, covered predecessors
+   skipped) to the full merge [reach_closure] performs. *)
+let prop_entity_reach_closure =
+  QCheck.Test.make
+    ~name:"Entity.causally_precedes (Transitive) = reach closure on lossy traces"
+    ~count:1000
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let n = 4 in
+      let observer = n - 1 in
+      let pdus, _, _ = gen_trace ~senders:observer n 80 seed in
+      let rng = Prng.create ~seed:(seed + 1) in
+      let actions =
+        {
+          Entity.broadcast = ignore;
+          unicast = (fun ~dst:_ _ -> ());
+          deliver = ignore;
+          now = (fun () -> 0);
+          set_timer = (fun ~delay:_ _ -> ());
+          available_buffer = (fun () -> 64);
+        }
+      in
+      let config =
+        {
+          Config.default with
+          Config.causality_mode = Config.Transitive;
+          defer = Config.Never;
+          anti_entropy = false;
+        }
+      in
+      let e = Entity.create ~config ~id:observer ~n ~actions in
+      List.iter (fun p -> Entity.receive e (Pdu.Data p)) (lossy_reorder rng pdus);
+      let reach = reach_closure n pdus in
+      let req = Entity.req e in
+      let past_accepted (q : Pdu.data) =
+        q.seq < req.(q.src)
+        && Array.for_all2 (fun r rq -> r < rq) (reach q.src q.seq) req
+      in
+      List.for_all
+        (fun (q : Pdu.data) ->
+          List.for_all
+            (fun (p : Pdu.data) ->
+              let expected =
+                if p.src = q.src then p.seq < q.seq
+                else if past_accepted q then (reach q.src q.seq).(p.src) >= p.seq
+                else Precedence.precedes p q
+              in
+              Entity.causally_precedes e p q = expected)
+            pdus)
+        pdus)
 
 (* --- Full receipt-pipeline differential: delivery order, minAL/minPAL,
    causality verdicts --- *)
@@ -470,13 +593,18 @@ let () =
           [
             prop_cpi_differential_direct;
             prop_cpi_differential_transitive;
+            prop_cpi_differential_direct_long;
+            prop_cpi_differential_transitive_long;
             prop_cpi_fastpath_consistent;
           ]
         @ [
             Alcotest.test_case "transitive fast path needs the reach witness"
               `Quick test_transitive_witness_regression;
+            Alcotest.test_case "ring wraps at both ends and grows wrapped"
+              `Quick test_ring_wraps;
           ] );
       ("pipeline differential", qsuite [ prop_pipeline_differential ]);
+      ("entity reach", qsuite [ prop_entity_reach_closure ]);
       ("matrix clock", qsuite [ prop_colmin_differential ]);
       ("ring buffer", qsuite [ prop_ring_differential ]);
     ]
