@@ -38,7 +38,9 @@ let raise_to m ~row ~col v =
 let set_row m ~row values =
   if Array.length values <> m.n then
     invalid_arg "Matrix_clock.set_row: length mismatch";
-  Array.iteri (fun col v -> raise_to m ~row ~col v) values
+  for col = 0 to m.n - 1 do
+    raise_to m ~row ~col values.(col)
+  done
 
 let row m i = Array.copy m.cells.(i)
 

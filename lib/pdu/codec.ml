@@ -25,12 +25,33 @@ let kind_ctl = 2
    parsed into a plausible-but-wrong PDU. *)
 let checksum_size = 4
 
-let fnv1a buf ~len =
-  let h = ref 0x811c9dc5 in
-  for i = 0 to len - 1 do
-    h := (!h lxor Bytes.get_uint8 buf i) * 0x01000193 land 0xFFFFFFFF
+(* 32-bit FNV-1a in a separate pass after the frame is written. The low 32
+   bits of a 64-bit product depend only on the low 32 bits of its factors,
+   so the accumulator is masked once at the end; a local [Int64] ref stays
+   unboxed in a register, and the loop body is one xor and one multiply
+   per byte. Folding the hash into every byte put instead costs two
+   mutable record stores per byte and is slower than this second pass. *)
+let fnv1a b ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then
+    invalid_arg "Codec.fnv1a: range out of bounds";
+  let h = ref 0x811c9dc5L in
+  for i = pos to pos + len - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Bytes.get_uint8 b i))) 0x01000193L
   done;
-  !h
+  Int64.to_int !h land 0xFFFFFFFF
+
+(* Every encoder writes into a buffer of exactly its frame's size. *)
+let fresh_frame size = Bytes.create size
+[@@coaudit.allow
+  "fresh per-encode buffer, returned to the caller only after the \
+   checksum trailer is sealed"]
+
+(* Appends the checksum of [b.(0 .. p-1)] at [p], which must be the
+   frame's last four bytes. *)
+let seal b p =
+  Bytes.set_int32_be b p (Int32.of_int (fnv1a b ~pos:0 ~len:p));
+  assert (p + checksum_size = Bytes.length b);
+  b
 
 let header_size ~kind ~n =
   checksum_size
@@ -46,78 +67,92 @@ let encoded_size = function
   | Pdu.Ret r -> header_size ~kind:`Ret ~n:(Array.length r.ack)
   | Pdu.Ctl c -> header_size ~kind:`Ctl ~n:(Array.length c.ack)
 
-(* A little mutable cursor over a Bytes buffer. *)
-type writer = { buf : bytes; mutable w : int }
+(* Writers take the write position and return the next one, so an encode
+   threads one local [int] through the frame and allocates only the
+   frame itself. *)
+let w8 b p v =
+  Bytes.set_uint8 b p v;
+  p + 1
 
-let w8 wr v =
-  Bytes.set_uint8 wr.buf wr.w v;
-  wr.w <- wr.w + 1
+let w16 b p v =
+  Bytes.set_uint16_be b p v;
+  p + 2
 
-let w16 wr v =
-  Bytes.set_uint16_be wr.buf wr.w v;
-  wr.w <- wr.w + 2
+let w32 b p v =
+  Bytes.set_int32_be b p (Int32.of_int v);
+  p + 4
 
-let w32 wr v =
-  Bytes.set_int32_be wr.buf wr.w (Int32.of_int v);
-  wr.w <- wr.w + 4
-
-let w_ack wr ack =
-  w16 wr (Array.length ack);
-  Array.iter (w32 wr) ack
+let w_ack b p ack =
+  let p = w16 b p (Array.length ack) in
+  for k = 0 to Array.length ack - 1 do
+    Bytes.set_int32_be b (p + (4 * k)) (Int32.of_int ack.(k))
+  done;
+  p + (4 * Array.length ack)
 
 let encode t =
-  let wr = { buf = Bytes.create (encoded_size t); w = 0 } in
-  (match t with
-  | Pdu.Data d ->
-    w8 wr kind_data;
-    w32 wr d.cid;
-    w16 wr d.src;
-    w32 wr d.seq;
-    w32 wr d.buf;
-    w_ack wr d.ack;
-    w32 wr (String.length d.payload);
-    Bytes.blit_string d.payload 0 wr.buf wr.w (String.length d.payload);
-    wr.w <- wr.w + String.length d.payload
-  | Pdu.Ret r ->
-    w8 wr kind_ret;
-    w32 wr r.cid;
-    w16 wr r.src;
-    w16 wr r.lsrc;
-    w32 wr r.lseq;
-    w32 wr r.buf;
-    w_ack wr r.ack
-  | Pdu.Ctl c ->
-    w8 wr kind_ctl;
-    w32 wr c.cid;
-    w16 wr c.src;
-    w32 wr c.buf;
-    w_ack wr c.ack);
-  w32 wr (fnv1a wr.buf ~len:(wr.w));
-  assert (wr.w = Bytes.length wr.buf);
-  wr.buf
+  let b = fresh_frame (encoded_size t) in
+  let p =
+    match t with
+    | Pdu.Data d ->
+      let p = w8 b 0 kind_data in
+      let p = w32 b p d.cid in
+      let p = w16 b p d.src in
+      let p = w32 b p d.seq in
+      let p = w32 b p d.buf in
+      let p = w_ack b p d.ack in
+      let len = String.length d.payload in
+      let p = w32 b p len in
+      Bytes.blit_string d.payload 0 b p len;
+      p + len
+    | Pdu.Ret r ->
+      let p = w8 b 0 kind_ret in
+      let p = w32 b p r.cid in
+      let p = w16 b p r.src in
+      let p = w16 b p r.lsrc in
+      let p = w32 b p r.lseq in
+      let p = w32 b p r.buf in
+      w_ack b p r.ack
+    | Pdu.Ctl c ->
+      let p = w8 b 0 kind_ctl in
+      let p = w32 b p c.cid in
+      let p = w16 b p c.src in
+      let p = w32 b p c.buf in
+      w_ack b p c.ack
+  in
+  seal b p
 
-type reader = { rbuf : bytes; mutable r : int }
+(* Decode reads the datagram in place: the cursor carries an explicit
+   limit at the checksum trailer and payloads are the only extraction.
+   Both wire versions share it. *)
+type reader = { rb : bytes; limit : int; mutable pos : int }
+[@@coaudit.allow
+  "decode-local cursor over the caller's datagram: lives for one decode \
+   call, never escapes or crosses domains"]
 
 exception Short
+exception Err of error
 
-let need rd k = if rd.r + k > Bytes.length rd.rbuf then raise Short
+let reader buf =
+  { rb = buf; limit = max (Bytes.length buf - checksum_size) 0; pos = 0 }
 
-let r8 rd =
+let[@inline] need rd k = if rd.pos + k > rd.limit then raise Short
+
+let[@inline] get rd =
   need rd 1;
-  let v = Bytes.get_uint8 rd.rbuf rd.r in
-  rd.r <- rd.r + 1;
+  let v = Bytes.get_uint8 rd.rb rd.pos in
+  rd.pos <- rd.pos + 1;
   v
 
 let r16 rd =
   need rd 2;
-  let v = Bytes.get_uint16_be rd.rbuf rd.r in
-  rd.r <- rd.r + 2;
+  let v = Bytes.get_uint16_be rd.rb rd.pos in
+  rd.pos <- rd.pos + 2;
   v
 
 let r32 rd =
   need rd 4;
-  let v = Int32.to_int (Bytes.get_int32_be rd.rbuf rd.r) in
-  rd.r <- rd.r + 4;
+  let v = Int32.to_int (Bytes.get_int32_be rd.rb rd.pos) in
+  rd.pos <- rd.pos + 4;
   v
 
 let r_ack rd =
@@ -125,73 +160,75 @@ let r_ack rd =
   (* Guard before allocating: a hostile length field must not cost a 256KiB
      transient array when the buffer cannot possibly hold the vector. *)
   need rd (4 * n);
-  Array.init n (fun _ -> r32 rd)
+  let a = Array.make n 0 in
+  for i = 0 to n - 1 do
+    a.(i) <- r32 rd
+  done;
+  a
 
-let r_payload rd =
-  let len = r32 rd in
-  if len < 0 then raise Short;
+let r_payload rd ~len =
   need rd len;
-  let s = Bytes.sub_string rd.rbuf rd.r len in
-  rd.r <- rd.r + len;
+  let s = Bytes.sub_string rd.rb rd.pos len in
+  rd.pos <- rd.pos + len;
   s
 
-let decode buf =
-  (* Structural errors (truncation, bad kind, trailing bytes) are reported
-     before the checksum verdict so fuzzers and tests see the most specific
-     failure; the checksum is the last gate before [Ok]. *)
-  let body_len = Bytes.length buf - checksum_size in
-  let rd = { rbuf = (if body_len >= 1 then Bytes.sub buf 0 body_len else Bytes.empty); r = 0 } in
-  match
-    let kind = r8 rd in
-    let pdu =
-      if kind = kind_data then begin
-        let cid = r32 rd in
-        let src = r16 rd in
-        let seq = r32 rd in
-        let b = r32 rd in
-        let ack = r_ack rd in
-        let payload = r_payload rd in
-        Pdu.data ~cid ~src ~seq ~ack ~buf:b ~payload
-      end
-      else if kind = kind_ret then begin
-        let cid = r32 rd in
-        let src = r16 rd in
-        let lsrc = r16 rd in
-        let lseq = r32 rd in
-        let b = r32 rd in
-        let ack = r_ack rd in
-        Pdu.ret ~cid ~src ~lsrc ~lseq ~ack ~buf:b
-      end
-      else if kind = kind_ctl then begin
-        let cid = r32 rd in
-        let src = r16 rd in
-        let b = r32 rd in
-        let ack = r_ack rd in
-        Pdu.ctl ~cid ~src ~ack ~buf:b
-      end
-      else raise (Invalid_argument (Printf.sprintf "kind:%d" kind))
-    in
-    (pdu, rd.r)
-  with
-  | pdu, consumed ->
-    if consumed < body_len then Error (Trailing (body_len - consumed))
-    else if
-      fnv1a buf ~len:body_len
-      <> Int32.to_int (Bytes.get_int32_be buf body_len) land 0xFFFFFFFF
-    then Error Bad_checksum
-    else Ok pdu
+(* Structural errors (truncation, bad kind, invalid fields, trailing
+   bytes) are reported before the checksum verdict so fuzzers and tests
+   see the most specific failure; the checksum is the last gate before
+   [Ok]. *)
+let finish rd v =
+  if rd.pos < rd.limit then Error (Trailing (rd.limit - rd.pos))
+  else if
+    fnv1a rd.rb ~pos:0 ~len:rd.limit
+    <> Int32.to_int (Bytes.get_int32_be rd.rb rd.limit) land 0xFFFFFFFF
+  then Error Bad_checksum
+  else Ok v
+
+let run_reader rd body =
+  match body rd with
+  | v -> finish rd v
   | exception Short -> Error Truncated
-  | exception Invalid_argument msg -> (
-    match String.index_opt msg ':' with
-    | Some _ when String.length msg > 5 && String.sub msg 0 5 = "kind:" ->
-      Error (Bad_kind (int_of_string (String.sub msg 5 (String.length msg - 5))))
-    | Some _ | None -> Error (Invalid msg))
+  | exception Err e -> Error e
+  | exception Invalid_argument msg -> Error (Invalid msg)
+
+let decode_v1_body rd =
+  let kind = get rd in
+  if kind = kind_data then begin
+    let cid = r32 rd in
+    let src = r16 rd in
+    let seq = r32 rd in
+    let b = r32 rd in
+    let ack = r_ack rd in
+    let len = r32 rd in
+    if len < 0 then raise Short;
+    let payload = r_payload rd ~len in
+    Pdu.data ~cid ~src ~seq ~ack ~buf:b ~payload
+  end
+  else if kind = kind_ret then begin
+    let cid = r32 rd in
+    let src = r16 rd in
+    let lsrc = r16 rd in
+    let lseq = r32 rd in
+    let b = r32 rd in
+    let ack = r_ack rd in
+    Pdu.ret ~cid ~src ~lsrc ~lseq ~ack ~buf:b
+  end
+  else if kind = kind_ctl then begin
+    let cid = r32 rd in
+    let src = r16 rd in
+    let b = r32 rd in
+    let ack = r_ack rd in
+    Pdu.ctl ~cid ~src ~ack ~buf:b
+  end
+  else raise (Err (Bad_kind kind))
+
+let decode buf = run_reader (reader buf) decode_v1_body
 
 (* ------------------------------------------------------------------ *)
 (* v2 wire format: versioned, varint-compressed, batch-capable.
 
    Frame:   0xB2 kind body cksum(4, FNV-1a big-endian over all preceding
-   bytes, folded into the single write pass).
+   bytes).
    uv:      LEB128 unsigned varint, little-endian groups of 7 bits; the
    encoder emits the canonical (shortest) form and the decoder rejects
    redundant trailing groups and values past 62 bits.
@@ -208,7 +245,11 @@ let decode buf =
    frame does not substantiate.
 
    RET (kind 1): cid:uv n:uv src:uv lsrc:uv lseq:uv buf:uv ack:uv^n.
-   CTL (kind 2): cid:uv n:uv src:uv buf:uv ack:uv^n. *)
+   CTL (kind 2): cid:uv n:uv src:uv buf:uv ack:uv^n.
+
+   An encode makes one size pass (varint lengths straight from the ACK
+   vectors), one write pass into a buffer of exactly that size, and one
+   checksum pass. *)
 
 let version_v2 = 0xB2
 
@@ -226,49 +267,53 @@ let kind2_ctl = 2
 
 let zigzag d = (d lsl 1) lxor (d asr 62)
 
-let rec uv_size v = if v land lnot 0x7f = 0 then 1 else 1 + uv_size (v lsr 7)
+(* Any [v] with a bit at 56 or above, negative ones included, takes the
+   full nine groups. *)
+let[@inline] uv_size v =
+  if v land lnot 0x7f = 0 then 1
+  else if v land lnot 0x3fff = 0 then 2
+  else if v land lnot 0x1fffff = 0 then 3
+  else if v land lnot 0xfffffff = 0 then 4
+  else if v land lnot 0x7ffffffff = 0 then 5
+  else if v land lnot 0x3ffffffffff = 0 then 6
+  else if v land lnot 0x1ffffffffffff = 0 then 7
+  else if v land lnot 0xffffffffffffff = 0 then 8
+  else 9
+
 let sv_size d = uv_size (zigzag d)
-
-(* Sparse delta of [ack] against [prev], ascending indexes. *)
-let deltas_against prev (ack : int array) =
-  let ds = ref [] in
-  for k = Array.length ack - 1 downto 0 do
-    if ack.(k) <> prev.(k) then ds := (k, ack.(k) - prev.(k)) :: !ds
-  done;
-  !ds
-
-(* The shared base is the first item's ACK vector (sent in full, varint
-   components); each item's reconstructed vector chains as the next base. *)
-let batch_plan (items : Pdu.data list) =
-  let first = List.hd items in
-  let rec go prev = function
-    | [] -> []
-    | (d : Pdu.data) :: rest -> (d, deltas_against prev d.ack) :: go d.ack rest
-  in
-  (first.ack, go first.ack items)
-
-let item_size ((d : Pdu.data), ds) =
-  uv_size d.src + uv_size d.seq + uv_size d.buf
-  + uv_size (List.length ds)
-  + List.fold_left (fun acc (k, dv) -> acc + uv_size k + sv_size dv) 0 ds
-  + uv_size (String.length d.payload)
-  + String.length d.payload
 
 let uv_sum ack = Array.fold_left (fun acc v -> acc + uv_size v) 0 ack
 
-let batch_size items =
-  let base, plan = batch_plan items in
-  let first = List.hd items in
-  2
-  + uv_size first.Pdu.cid
-  + uv_size (Array.length base)
-  + uv_size (List.length items)
-  + uv_sum base
-  + List.fold_left (fun acc it -> acc + item_size it) 0 plan
+(* Bytes of an item's sparse delta section against [prev] (the nz count
+   and the (index, delta) pairs), from component [k] on. *)
+let rec deltas_size prev ack k nz size =
+  if k = Array.length ack then uv_size nz + size
+  else
+    let dv = ack.(k) - prev.(k) in
+    if dv = 0 then deltas_size prev ack (k + 1) nz size
+    else deltas_size prev ack (k + 1) (nz + 1) (size + uv_size k + sv_size dv)
+
+(* Each item's ACK vector is delta-coded against the previous item's; the
+   first item's against the base, which is its own vector. *)
+let rec items_size prev size = function
+  | [] -> size
+  | (d : Pdu.data) :: rest ->
+    let plen = String.length d.payload in
+    items_size d.ack
+      (size + uv_size d.src + uv_size d.seq + uv_size d.buf
+      + deltas_size prev d.ack 0 0 0
+      + uv_size plen + plen)
+      rest
+
+let batch_size ~count (first : Pdu.data) items =
+  2 + uv_size first.cid
+  + uv_size (Array.length first.ack)
+  + uv_size count + uv_sum first.ack
+  + items_size first.ack 0 items
   + checksum_size
 
 let encoded_size_v2 = function
-  | Pdu.Data d -> batch_size [ d ]
+  | Pdu.Data d -> batch_size ~count:1 d [ d ]
   | Pdu.Ret r ->
     2 + uv_size r.cid
     + uv_size (Array.length r.ack)
@@ -279,91 +324,75 @@ let encoded_size_v2 = function
     + uv_size (Array.length c.ack)
     + uv_size c.src + uv_size c.buf + uv_sum c.ack + checksum_size
 
-(* Write cursor with the FNV-1a state threaded through every byte, so the
-   checksum costs no second pass over the frame. *)
-type writer2 = { b : bytes; mutable pos : int; mutable h : int }
-[@@coaudit.allow
-  "encode-local cursor: allocated, filled and frozen within one encode call; \
-   never escapes or crosses domains"]
+let rec put_uv b p v =
+  if v land lnot 0x7f = 0 then w8 b p v
+  else put_uv b (w8 b p (0x80 lor (v land 0x7f))) (v lsr 7)
 
-let fresh_writer2 size = { b = Bytes.create size; pos = 0; h = 0x811c9dc5 }
-[@@coaudit.allow
-  "fresh per-encode buffer, returned to the caller only after the final \
-   trailer write"]
+let rec put_uvs b p a k =
+  if k = Array.length a then p else put_uvs b (put_uv b p a.(k)) a (k + 1)
 
-let put wr v =
-  Bytes.set_uint8 wr.b wr.pos v;
-  wr.pos <- wr.pos + 1;
-  wr.h <- (wr.h lxor v) * 0x01000193 land 0xFFFFFFFF
+let rec count_deltas (prev : int array) (ack : int array) k nz =
+  if k = Array.length ack then nz
+  else count_deltas prev ack (k + 1) (if ack.(k) <> prev.(k) then nz + 1 else nz)
 
-let rec put_uv wr v =
-  if v land lnot 0x7f = 0 then put wr v
-  else begin
-    put wr (0x80 lor (v land 0x7f));
-    put_uv wr (v lsr 7)
-  end
+let rec put_deltas b p prev ack k =
+  if k = Array.length ack then p
+  else if ack.(k) = prev.(k) then put_deltas b p prev ack (k + 1)
+  else
+    let p = put_uv b (put_uv b p k) (zigzag (ack.(k) - prev.(k))) in
+    put_deltas b p prev ack (k + 1)
 
-let put_sv wr d = put_uv wr (zigzag d)
-let put_str wr s = String.iter (fun c -> put wr (Char.code c)) s
+let rec put_items b p prev = function
+  | [] -> p
+  | (d : Pdu.data) :: rest ->
+    let p = put_uv b p d.src in
+    let p = put_uv b p d.seq in
+    let p = put_uv b p d.buf in
+    let p = put_uv b p (count_deltas prev d.ack 0 0) in
+    let p = put_deltas b p prev d.ack 0 in
+    let plen = String.length d.payload in
+    let p = put_uv b p plen in
+    Bytes.blit_string d.payload 0 b p plen;
+    put_items b (p + plen) d.ack rest
 
-let put_trailer wr =
-  Bytes.set_int32_be wr.b wr.pos (Int32.of_int wr.h);
-  wr.pos <- wr.pos + 4
+let put_ids b p ids =
+  Array.iteri (fun i id -> Bytes.set_int64_be b (p + (8 * i)) id) ids;
+  p + (8 * Array.length ids)
 
-(* One 8-byte trace id per item, folded through [put] so the running
-   FNV-1a state covers it like every other body byte. *)
-let put_id wr id =
-  for k = 7 downto 0 do
-    put wr (Int64.to_int (Int64.shift_right_logical id (8 * k)) land 0xff)
-  done
+let rec check_batch ~cid ~n = function
+  | [] -> ()
+  | (d : Pdu.data) :: rest ->
+    if d.cid <> cid then invalid_arg "Codec.encode_data_batch_v2: mixed cid";
+    if Array.length d.ack <> n then
+      invalid_arg "Codec.encode_data_batch_v2: mixed cluster size";
+    check_batch ~cid ~n rest
 
 let encode_data_batch_gen ~version ~ids (items : Pdu.data list) =
-  (match items with
-  | [] -> invalid_arg "Codec.encode_data_batch_v2: empty batch"
-  | first :: rest ->
-    let cid = first.Pdu.cid in
-    let n = Array.length first.Pdu.ack in
-    List.iter
-      (fun (d : Pdu.data) ->
-        if d.cid <> cid then
-          invalid_arg "Codec.encode_data_batch_v2: mixed cid";
-        if Array.length d.ack <> n then
-          invalid_arg "Codec.encode_data_batch_v2: mixed cluster size")
-      rest);
-  (match ids with
-  | Some ids when Array.length ids <> List.length items ->
-    invalid_arg "Codec.encode_data_batch_traced: one trace id per item"
-  | Some _ | None -> ());
-  let first = List.hd items in
-  let base, plan = batch_plan items in
-  let extra = match ids with Some ids -> 8 * Array.length ids | None -> 0 in
-  let wr = fresh_writer2 (batch_size items + extra) in
-  put wr version;
-  put wr kind2_data;
-  put_uv wr first.Pdu.cid;
-  put_uv wr (Array.length base);
-  put_uv wr (List.length items);
-  Array.iter (put_uv wr) base;
-  List.iter
-    (fun ((d : Pdu.data), ds) ->
-      put_uv wr d.src;
-      put_uv wr d.seq;
-      put_uv wr d.buf;
-      put_uv wr (List.length ds);
-      List.iter
-        (fun (k, dv) ->
-          put_uv wr k;
-          put_sv wr dv)
-        ds;
-      put_uv wr (String.length d.payload);
-      put_str wr d.payload)
-    plan;
-  (match ids with
-  | Some ids -> Array.iter (put_id wr) ids
-  | None -> ());
-  put_trailer wr;
-  assert (wr.pos = Bytes.length wr.b);
-  wr.b
+  let first =
+    match items with
+    | [] -> invalid_arg "Codec.encode_data_batch_v2: empty batch"
+    | first :: _ -> first
+  in
+  let n = Array.length first.ack in
+  check_batch ~cid:first.cid ~n items;
+  let count = List.length items in
+  let extra =
+    match ids with
+    | Some ids when Array.length ids <> count ->
+      invalid_arg "Codec.encode_data_batch_traced: one trace id per item"
+    | Some ids -> 8 * Array.length ids
+    | None -> 0
+  in
+  let b = fresh_frame (batch_size ~count first items + extra) in
+  let p = w8 b 0 version in
+  let p = w8 b p kind2_data in
+  let p = put_uv b p first.cid in
+  let p = put_uv b p n in
+  let p = put_uv b p count in
+  let p = put_uvs b p first.ack 0 in
+  let p = put_items b p first.ack items in
+  let p = match ids with Some ids -> put_ids b p ids | None -> p in
+  seal b p
 
 let encode_data_batch_v2 items =
   encode_data_batch_gen ~version:version_v2 ~ids:None items
@@ -375,49 +404,25 @@ let encode_v2 t =
   match t with
   | Pdu.Data d -> encode_data_batch_v2 [ d ]
   | Pdu.Ret r ->
-    let wr = fresh_writer2 (encoded_size_v2 t) in
-    put wr version_v2;
-    put wr kind2_ret;
-    put_uv wr r.cid;
-    put_uv wr (Array.length r.ack);
-    put_uv wr r.src;
-    put_uv wr r.lsrc;
-    put_uv wr r.lseq;
-    put_uv wr r.buf;
-    Array.iter (put_uv wr) r.ack;
-    put_trailer wr;
-    assert (wr.pos = Bytes.length wr.b);
-    wr.b
+    let b = fresh_frame (encoded_size_v2 t) in
+    let p = w8 b 0 version_v2 in
+    let p = w8 b p kind2_ret in
+    let p = put_uv b p r.cid in
+    let p = put_uv b p (Array.length r.ack) in
+    let p = put_uv b p r.src in
+    let p = put_uv b p r.lsrc in
+    let p = put_uv b p r.lseq in
+    let p = put_uv b p r.buf in
+    seal b (put_uvs b p r.ack 0)
   | Pdu.Ctl c ->
-    let wr = fresh_writer2 (encoded_size_v2 t) in
-    put wr version_v2;
-    put wr kind2_ctl;
-    put_uv wr c.cid;
-    put_uv wr (Array.length c.ack);
-    put_uv wr c.src;
-    put_uv wr c.buf;
-    Array.iter (put_uv wr) c.ack;
-    put_trailer wr;
-    assert (wr.pos = Bytes.length wr.b);
-    wr.b
-
-(* Decode reads the datagram in place (no [Bytes.sub] of the body, unlike
-   the v1 path): the cursor carries an explicit limit at the checksum
-   trailer and payloads are the only extraction. *)
-type reader2 = { rb : bytes; limit : int; mutable pos : int }
-[@@coaudit.allow
-  "decode-local cursor over the caller's datagram: lives for one decode \
-   call, never escapes or crosses domains"]
-
-exception Err of error
-
-let need2 rd k = if rd.pos + k > rd.limit then raise Short
-
-let get rd =
-  need2 rd 1;
-  let v = Bytes.get_uint8 rd.rb rd.pos in
-  rd.pos <- rd.pos + 1;
-  v
+    let b = fresh_frame (encoded_size_v2 t) in
+    let p = w8 b 0 version_v2 in
+    let p = w8 b p kind2_ctl in
+    let p = put_uv b p c.cid in
+    let p = put_uv b p (Array.length c.ack) in
+    let p = put_uv b p c.src in
+    let p = put_uv b p c.buf in
+    seal b (put_uvs b p c.ack 0)
 
 (* Top-level, not a local closure over [rd]: a varint decode allocates
    nothing. *)
@@ -433,9 +438,13 @@ let rec get_uv_from rd shift acc =
   else if shift >= 56 then raise (Err (Invalid "v2: varint overflow"))
   else get_uv_from rd (shift + 7) acc
 
-let get_uv rd =
-  let v = get_uv_from rd 0 0 in
-  if v < 0 then raise (Err (Invalid "v2: varint overflow")) else v
+(* Most fields fit one group, which is canonical and in range as read. *)
+let[@inline] get_uv rd =
+  let b = get rd in
+  if b < 0x80 then b
+  else
+    let v = get_uv_from rd 7 (b land 0x7f) in
+    if v < 0 then raise (Err (Invalid "v2: varint overflow")) else v
 
 let get_sv rd =
   let z = get_uv rd in
@@ -444,12 +453,57 @@ let get_sv rd =
 let get_ack rd ~n =
   (* Guard before allocating, as in the v1 reader: each component is at
      least one byte. *)
-  need2 rd n;
+  need rd n;
   let a = Array.make n 0 in
   for i = 0 to n - 1 do
     a.(i) <- get_uv rd
   done;
   a
+
+(* Applies [k] sparse deltas to [running]; indexes must ascend past
+   [prev_idx]. *)
+let rec get_deltas rd running ~prev_idx k =
+  if k > 0 then begin
+    let idx = get_uv rd in
+    if idx <= prev_idx || idx >= Array.length running then
+      raise (Err (Invalid "v2: delta index"));
+    let dv = get_sv rd in
+    if dv = 0 then raise (Err (Invalid "v2: zero delta"));
+    running.(idx) <- running.(idx) + dv;
+    get_deltas rd running ~prev_idx:idx (k - 1)
+  end
+
+(* One batch item, its ACK vector copied once out of [running]. The
+   record is built here rather than through [Pdu.data], which would scan
+   the vector a second time: [Stale_base] has already checked every
+   component, cid and buf are varints and so never negative, and the
+   remaining [Pdu.data] checks follow in its order and with its
+   messages. *)
+let get_item rd ~cid running =
+  let src = get_uv rd in
+  let seq = get_uv rd in
+  let buf = get_uv rd in
+  let nz = get_uv rd in
+  need rd (2 * nz);
+  get_deltas rd running ~prev_idx:(-1) nz;
+  (* The reconstructed vector must be a plausible ACK: a component
+     below 1 means the deltas were taken against a base this frame
+     does not establish. *)
+  let n = Array.length running in
+  for i = 0 to n - 1 do
+    if running.(i) < 1 then raise (Err Stale_base)
+  done;
+  let payload = r_payload rd ~len:(get_uv rd) in
+  if n = 0 then raise (Err (Invalid "Pdu.data: empty ack vector"));
+  if src >= n then raise (Err (Invalid "Pdu.data: src out of range"));
+  if seq < 1 then raise (Err (Invalid "Pdu.data: seq must be >= 1"));
+  Pdu.Data { cid; src; seq; ack = Array.copy running; buf; payload }
+
+let[@tail_mod_cons] rec get_items rd ~cid running k =
+  if k = 0 then []
+  else
+    let pdu = get_item rd ~cid running in
+    pdu :: get_items rd ~cid running (k - 1)
 
 let get_data_items rd =
   let cid = get_uv rd in
@@ -457,37 +511,10 @@ let get_data_items rd =
   let count = get_uv rd in
   if count < 1 then raise (Err (Invalid "v2: empty batch"));
   let running = get_ack rd ~n in
-  let items = ref [] in
-  for _ = 1 to count do
-    let src = get_uv rd in
-    let seq = get_uv rd in
-    let buf = get_uv rd in
-    let nz = get_uv rd in
-    need2 rd (2 * nz);
-    let prev_idx = ref (-1) in
-    for _ = 1 to nz do
-      let idx = get_uv rd in
-      if idx <= !prev_idx || idx >= n then
-        raise (Err (Invalid "v2: delta index"));
-      prev_idx := idx;
-      let dv = get_sv rd in
-      if dv = 0 then raise (Err (Invalid "v2: zero delta"));
-      running.(idx) <- running.(idx) + dv
-    done;
-    (* The reconstructed vector must be a plausible ACK: a component
-       below 1 means the deltas were taken against a base this frame
-       does not establish. *)
-    Array.iter (fun a -> if a < 1 then raise (Err Stale_base)) running;
-    let plen = get_uv rd in
-    need2 rd plen;
-    let payload = Bytes.sub_string rd.rb rd.pos plen in
-    rd.pos <- rd.pos + plen;
-    items := Pdu.data ~cid ~src ~seq ~ack:running ~buf ~payload :: !items
-  done;
-  (List.rev !items, count)
+  (get_items rd ~cid running count, count)
 
 let get_id rd =
-  need2 rd 8;
+  need rd 8;
   let v = Bytes.get_int64_be rd.rb rd.pos in
   rd.pos <- rd.pos + 8;
   v
@@ -517,48 +544,25 @@ let decode_v2_body rd =
   end
   else raise (Err (Bad_kind kind))
 
-let finish_v2 buf rd pdus =
-  let body = rd.limit in
-  if rd.pos < body then Error (Trailing (body - rd.pos))
-  else if
-    fnv1a buf ~len:body
-    <> Int32.to_int (Bytes.get_int32_be buf body) land 0xFFFFFFFF
-  then Error Bad_checksum
-  else Ok pdus
-
-let decode_v2 buf =
-  let body = Bytes.length buf - checksum_size in
-  let rd = { rb = buf; limit = max body 0; pos = 0 } in
-  match decode_v2_body rd with
-  | pdus -> finish_v2 buf rd pdus
-  | exception Short -> Error Truncated
-  | exception Err e -> Error e
-  | exception Invalid_argument msg -> Error (Invalid msg)
+let decode_v2 buf = run_reader (reader buf) decode_v2_body
 
 (* A 0xB3 frame: DATA batch body, then one trace id per item, then the
    checksum. Any other kind under 0xB3 is rejected — RET/CTL are never
    traced. *)
-let decode_v2t_ids buf =
-  let body = Bytes.length buf - checksum_size in
-  let rd = { rb = buf; limit = max body 0; pos = 0 } in
-  match
-    let ver = get rd in
-    if ver <> version_v2t then raise (Err (Bad_version ver));
-    let kind = get rd in
-    if kind <> kind2_data then raise (Err (Bad_kind kind));
-    let items, count = get_data_items rd in
-    need2 rd (8 * count);
-    let ids = Array.make count 0L in
-    for i = 0 to count - 1 do
-      ids.(i) <- get_id rd
-    done;
-    (items, ids)
-  with
-  | items, ids ->
-    Result.map (fun pdus -> (pdus, ids)) (finish_v2 buf rd items)
-  | exception Short -> Error Truncated
-  | exception Err e -> Error e
-  | exception Invalid_argument msg -> Error (Invalid msg)
+let decode_v2t_body rd =
+  let ver = get rd in
+  if ver <> version_v2t then raise (Err (Bad_version ver));
+  let kind = get rd in
+  if kind <> kind2_data then raise (Err (Bad_kind kind));
+  let items, count = get_data_items rd in
+  need rd (8 * count);
+  let ids = Array.make count 0L in
+  for i = 0 to count - 1 do
+    ids.(i) <- get_id rd
+  done;
+  (items, ids)
+
+let decode_v2t_ids buf = run_reader (reader buf) decode_v2t_body
 
 (* Version dispatch: v1 kind bytes are 0/1/2, so the 0xB2/0xB3 version
    bytes never collide and a mixed-version cluster can decode whatever

@@ -42,6 +42,12 @@ val decode : bytes -> (Pdu.t, error) result
 val encoded_size : Pdu.t -> int
 (** Byte length {!encode} will produce, without encoding. *)
 
+val fnv1a : bytes -> pos:int -> len:int -> int
+(** 32-bit FNV-1a of [len] bytes of the buffer from [pos]: the checksum
+    every frame of this codec (and {!Memberwire}'s) carries as its
+    4-byte big-endian trailer.
+    @raise Invalid_argument if the range is not within the buffer. *)
+
 val header_size : kind:[ `Data | `Ret | `Ctl ] -> n:int -> int
 (** v1 header bytes (everything except DT payload, checksum trailer
     included) for cluster size [n] — linear in [n], which experiment E5
@@ -49,8 +55,8 @@ val header_size : kind:[ `Data | `Ret | `Ctl ] -> n:int -> int
 
 (** {2 v2 wire format}
 
-    Frame: [0xB2 kind body cksum(4)]; the FNV-1a checksum is folded into
-    the single write pass over a preallocated [Bytes] cursor. DATA frames
+    Frame: [0xB2 kind body cksum(4)]; an encode sizes the frame, writes
+    it into a buffer of exactly that size, then checksums it. DATA frames
     carry a batch: a shared header (cid, n, count, base ACK vector in
     varint components) followed by per-item sparse deltas — an item's ACK
     vector is the running base plus its deltas, and then becomes the base

@@ -33,15 +33,6 @@ let magic = 0xB4
 
 let is_member_frame b = Bytes.length b > 0 && Char.code (Bytes.get b 0) = magic
 
-(* FNV-1a over a byte range — same trailer discipline as the data codec,
-   kept local because the codec does not export its helpers. *)
-let fnv1a b ~pos ~len =
-  let h = ref 0x811c9dc5 in
-  for i = pos to pos + len - 1 do
-    h := (!h lxor Char.code (Bytes.get b i)) * 0x01000193 land 0xFFFFFFFF
-  done;
-  !h
-
 (* Unsigned LEB128 varints; every encoded quantity is >= 0. *)
 let buf_varint buf v =
   if v < 0 then invalid_arg "Memberwire: negative field";
@@ -121,7 +112,7 @@ let encode t =
     buf_varint buf (Array.length reqs);
     Array.iter (buf_arr buf) reqs);
   let body = Buffer.to_bytes buf in
-  let sum = fnv1a body ~pos:0 ~len:(Bytes.length body) in
+  let sum = Codec.fnv1a body ~pos:0 ~len:(Bytes.length body) in
   let out = Bytes.create (Bytes.length body + 4) in
   Bytes.blit body 0 out 0 (Bytes.length body);
   Bytes.set_uint16_be out (Bytes.length body) (sum lsr 16);
@@ -177,7 +168,7 @@ let decode b =
     if len < 6 then fail Truncated;
     let m = Char.code (Bytes.get b 0) in
     if m <> magic then fail (Bad_magic m);
-    let sum = fnv1a b ~pos:0 ~len:(len - 4) in
+    let sum = Codec.fnv1a b ~pos:0 ~len:(len - 4) in
     let stored =
       (Bytes.get_uint16_be b (len - 4) lsl 16) lor Bytes.get_uint16_be b (len - 2)
     in

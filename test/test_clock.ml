@@ -377,6 +377,67 @@ let test_causality_send_stamp () =
   check bool_t "stamp exists" true (Causality.send_stamp c 1 <> None);
   check bool_t "unknown stamp" true (Causality.send_stamp c 2 = None)
 
+(* [set_row] against its definition, one [raise_to] per cell: the two
+   matrices take the same random rows, single-cell raises and [col_min]
+   queries (which clean the cache between updates), and must agree on
+   every cell and every cached minimum throughout. *)
+type mc_op = Set_row of int * int array | Raise of int * int * int | Query of int
+
+let prop_mc_set_row_is_raise_to =
+  let n = 4 in
+  let gen_op =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 2,
+            map2
+              (fun r vals -> Set_row (r, vals))
+              (int_bound (n - 1))
+              (array_size (return n) (int_bound 50)) );
+          ( 2,
+            map3
+              (fun r c v -> Raise (r, c, v))
+              (int_bound (n - 1)) (int_bound (n - 1)) (int_bound 50) );
+          (3, map (fun c -> Query c) (int_bound (n - 1)));
+        ])
+  in
+  let print_op = function
+    | Set_row (r, vals) ->
+      Printf.sprintf "set_row %d [%s]" r
+        (String.concat ";" (Array.to_list (Array.map string_of_int vals)))
+    | Raise (r, c, v) -> Printf.sprintf "raise %d %d %d" r c v
+    | Query c -> Printf.sprintf "col_min %d" c
+  in
+  QCheck.Test.make ~name:"set_row equals cell-wise raise_to" ~count:500
+    (QCheck.pair (arb_cells n)
+       (QCheck.make ~print:QCheck.Print.(list print_op)
+          QCheck.Gen.(list_size (int_range 1 40) gen_op)))
+    (fun (cells, ops) ->
+      let a = mc_of_cells n cells and b = mc_of_cells n cells in
+      let mins_agree c =
+        let m = MC.col_min a c in
+        m = MC.col_min b c && m = naive_col_min a c
+      in
+      List.for_all
+        (function
+          | Set_row (row, vals) ->
+            MC.set_row a ~row vals;
+            Array.iteri (fun col v -> MC.raise_to b ~row ~col v) vals;
+            true
+          | Raise (row, col, v) ->
+            MC.raise_to a ~row ~col v;
+            MC.raise_to b ~row ~col v;
+            true
+          | Query c -> mins_agree c)
+        ops
+      && List.for_all
+           (fun row ->
+             List.for_all
+               (fun col -> MC.get a ~row ~col = MC.get b ~row ~col)
+               (List.init n Fun.id))
+           (List.init n Fun.id)
+      && List.for_all mins_agree (List.init n Fun.id))
+
 let qsuite tests = Qutil.qsuite ~long:false tests
 
 let () =
@@ -418,6 +479,7 @@ let () =
               prop_mc_remap_permutation;
               prop_mc_shrink_regrow;
               prop_mc_set_row_monotone;
+              prop_mc_set_row_is_raise_to;
             ] );
       ( "causality",
         [

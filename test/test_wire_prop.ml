@@ -206,6 +206,199 @@ let prop_v2_garbage_no_raise =
       | Ok _ | Error _ -> true
       | exception _ -> false)
 
+(* --- Differential against the reference codec ---
+
+   [Codec_ref] (test/codec_ref.ml) is the codec before the one-pass
+   rewrite. The rewrite must emit the same bytes for every frame kind and
+   give the same decode [result], error included, for every damaged copy
+   of those frames: structural errors in stream order, then [Trailing],
+   then [Bad_checksum]. *)
+
+(* Field values of every varint length, up to 62 bits. *)
+let gen_field lo =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, int_range lo 127);
+        (3, int_range lo 100_000);
+        (2, int_range lo max_int);
+      ])
+
+let gen_wide_ack n = QCheck.Gen.(array_size (return n) (gen_field 1))
+
+(* A few components moved by small steps either way, staying >= 1. *)
+let gen_near_ack (prev : int array) =
+  let open QCheck.Gen in
+  let n = Array.length prev in
+  list_size (int_range 1 3) (pair (int_range 0 (n - 1)) (int_range (-3) 3))
+  >|= fun bumps ->
+  let ack = Array.copy prev in
+  List.iter (fun (k, d) -> ack.(k) <- max 1 (ack.(k) + d)) bumps;
+  ack
+
+type wide = { items : Pdu.data list; ids : int64 array }
+
+(* n up to 64 and one payload up to 1 KiB, each in one batch of four
+   (the others up to 32 bytes) so the exhaustive truncation and bit-flip
+   property stays fast; any trace ids. *)
+let gen_wide =
+  let open QCheck.Gen in
+  frequency [ (3, int_range 1 8); (1, int_range 9 64) ] >>= fun n ->
+  int_range 1 8 >>= fun count ->
+  gen_field 0 >>= fun cid ->
+  frequency [ (3, return 32); (1, return 1024) ] >>= fun big ->
+  int_range 1 count >>= fun big_at ->
+  let gen_item prev k =
+    (match prev with
+    | Some (p : Pdu.data) ->
+      frequency [ (3, gen_near_ack p.ack); (1, gen_wide_ack n) ]
+    | None -> gen_wide_ack n)
+    >>= fun ack ->
+    int_range 0 (n - 1) >>= fun src ->
+    gen_field 1 >>= fun seq ->
+    gen_field 0 >>= fun buf ->
+    string_size (int_range 0 (if k = big_at then big else 32))
+    >>= fun payload ->
+    return
+      (match Pdu.data ~cid ~src ~seq ~ack ~buf ~payload with
+      | Pdu.Data d -> d
+      | _ -> assert false)
+  in
+  let rec go acc prev k =
+    if k = 0 then return (List.rev acc)
+    else gen_item prev k >>= fun d -> go (d :: acc) (Some d) (k - 1)
+  in
+  go [] None count >>= fun items ->
+  array_size (return count) ui64 >|= fun ids -> { items; ids }
+
+let arb_wide =
+  QCheck.make
+    ~print:(fun w ->
+      print_batch w.items ^ " ids="
+      ^ String.concat "," (Array.to_list (Array.map Int64.to_string w.ids)))
+    gen_wide
+
+(* Every frame kind the codec emits for this batch: the v2 and traced
+   batches, and per item its v1 frame, its one-PDU v2 frame, and a RET
+   and a CTL built from its fields in both formats. *)
+let frames_of encode_v1 encode_v2 encode_batch encode_traced w =
+  let per_item (d : Pdu.data) =
+    let n = Array.length d.ack in
+    let ret =
+      Pdu.ret ~cid:d.cid ~src:d.src ~lsrc:((d.src + 1) mod n) ~lseq:d.seq
+        ~ack:d.ack ~buf:d.buf
+    in
+    let ctl = Pdu.ctl ~cid:d.cid ~src:d.src ~ack:d.ack ~buf:d.buf in
+    List.concat_map
+      (fun p -> [ encode_v1 p; encode_v2 p ])
+      [ Pdu.Data d; ret; ctl ]
+  in
+  encode_batch w.items :: encode_traced ~ids:w.ids w.items
+  :: List.concat_map per_item w.items
+
+let frames =
+  frames_of Codec.encode Codec.encode_v2 Codec.encode_data_batch_v2
+    Codec.encode_data_batch_traced
+
+let ref_frames =
+  frames_of Codec_ref.encode Codec_ref.encode_v2 Codec_ref.encode_data_batch_v2
+    Codec_ref.encode_data_batch_traced
+
+let prop_ref_frames =
+  QCheck.Test.make ~name:"frames are byte-identical to the reference"
+    ~count:500 arb_wide (fun w ->
+      List.equal Bytes.equal (frames w) (ref_frames w))
+
+let same_result same a b =
+  match (a, b) with
+  | Ok x, Ok y -> same x y
+  | Error (e : Codec.error), Error f -> e = f
+  | (Ok _ | Error _), _ -> false
+
+let same_pdus a b = List.equal Pdu.equal a b
+
+let same_traced (a, ia) (b, ib) = same_pdus a b && ia = ib
+
+let decodes_agree buf =
+  same_result same_pdus (Codec.decode_any buf) (Codec_ref.decode_any buf)
+  && same_result same_traced (Codec.decode_traced buf)
+       (Codec_ref.decode_traced buf)
+
+let prop_ref_damaged =
+  QCheck.Test.make
+    ~name:"every truncation and bit flip decodes as the reference" ~count:50
+    arb_wide (fun w ->
+      List.for_all
+        (fun b ->
+          let len = Bytes.length b in
+          let ok = ref (decodes_agree b) in
+          for cut = 0 to len - 1 do
+            if !ok then ok := decodes_agree (Bytes.sub b 0 cut)
+          done;
+          for bit = 0 to (8 * len) - 1 do
+            if !ok then begin
+              let f = Bytes.copy b in
+              Bytes.set_uint8 f (bit / 8)
+                (Bytes.get_uint8 f (bit / 8) lxor (1 lsl (bit mod 8)));
+              ok := decodes_agree f
+            end
+          done;
+          !ok)
+        (* The two batch frames and the first item's six. *)
+        (List.filteri (fun i _ -> i < 8) (frames w)))
+
+(* Arbitrary bodies under every leading byte either decoder dispatches
+   on, sealed with a valid checksum so decoding runs to the end: hostile
+   field values (src past n, seq 0, empty vectors, stale bases) reach
+   [Ok] or their own error instead of stopping at the trailer. *)
+let prop_ref_sealed_garbage =
+  QCheck.Test.make ~name:"sealed garbage decodes as the reference" ~count:2000
+    QCheck.(
+      pair (oneofl [ 0; 1; 2; 3; 0xB2; 0xB3 ])
+        (pair (int_range 0 2) (string_of_size (QCheck.Gen.int_range 0 48))))
+    (fun (lead, (kind, s)) ->
+      let body = Bytes.of_string (Printf.sprintf "%c%c%s" (Char.chr lead) (Char.chr kind) s) in
+      let b = Bytes.extend body 0 4 in
+      Bytes.set_int32_be b (Bytes.length body)
+        (Int32.of_int (Codec.fnv1a body ~pos:0 ~len:(Bytes.length body)));
+      decodes_agree b)
+
+(* --- Allocation pin: the 7-PDU, n = 8 batch with 64-byte payloads ---
+
+   The reference allocates 312 minor words to encode this batch (plans of
+   delta tuples, built twice) and 284 to decode it. *)
+
+let pin_batch =
+  List.init 7 (fun i ->
+      let src = i + 1 in
+      let ack = Array.init 8 (fun j -> if j <= src then 1001 else 1000) in
+      match
+        Pdu.data ~cid:0 ~src ~seq:(500 + i) ~ack ~buf:4096
+          ~payload:(String.make 64 (Char.chr (65 + i)))
+      with
+      | Pdu.Data d -> d
+      | _ -> assert false)
+
+let minor_words_per_call f =
+  let iters = 1000 in
+  ignore (Sys.opaque_identity (f ()));
+  let w0 = Gc.minor_words () in
+  for _ = 1 to iters do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int iters
+
+let test_alloc_pin () =
+  let frame = Codec.encode_data_batch_v2 pin_batch in
+  check bool_t "frame matches the reference" true
+    (Bytes.equal frame (Codec_ref.encode_data_batch_v2 pin_batch));
+  let enc =
+    minor_words_per_call (fun () -> Codec.encode_data_batch_v2 pin_batch)
+  in
+  let dec = minor_words_per_call (fun () -> Codec.decode_any frame) in
+  if enc > 120. then Alcotest.failf "encode allocates %.1f words (> 120)" enc;
+  if dec > 284. then Alcotest.failf "decode allocates %.1f words (> 284)" dec
+
 (* --- Hand-crafted hostile frames ---
 
    The encoder cannot emit an invalid frame, so each v2-specific rejection
@@ -545,6 +738,9 @@ let () =
               prop_v2_corruption_no_raise;
               prop_v2_garbage_no_raise;
             ] );
+      ( "reference",
+        Alcotest.test_case "allocation pin" `Quick test_alloc_pin
+        :: qsuite [ prop_ref_frames; prop_ref_damaged; prop_ref_sealed_garbage ] );
       ("golden", [ Alcotest.test_case "fixture pins layout" `Quick test_golden_fixture ]);
       ("differential", qsuite [ prop_wire_differential ]);
       ( "fault-plans",
