@@ -12,7 +12,11 @@
      E5  §5 ¶4      — header size O(n); loss-detectability vs ISIS CBCAST
      E6  §4.2       — window-size ablation
      E7  Thm 4.5    — CO service oracle across random seeds and loss modes
-     E8  DESIGN §7  — Direct (Theorem 4.1) vs Transitive causality mode *)
+     E8  DESIGN §7  — Direct (Theorem 4.1) vs Transitive causality mode
+
+   Artifact runs: [json] (every simulated BENCH_*.json), [pac],
+   [loss_sweep], [throughput{,_smoke,_v1}] (one entity's receive path) and
+   [udp_smoke] (16 real-socket members, BENCH_udp_n16.json). *)
 
 open Bechamel
 open Toolkit
@@ -36,6 +40,8 @@ module Stats = Repro_util.Stats
 module Tobcast = Repro_baselines.Tobcast
 module Cbcast = Repro_baselines.Cbcast
 module Wirestats = Repro_obs.Wirestats
+module Udp_cluster = Repro_transport.Udp_cluster
+module Monoclock = Repro_util.Monoclock
 
 let max_events = 20_000_000
 
@@ -1067,6 +1073,88 @@ let throughput_v1 () = throughput_scenario ~mode:"full" ~wire:Config.V1 ()
    v1 framing, one datagram (and one receipt-log pass) per PDU. *)
 
 (* ------------------------------------------------------------------ *)
+(* UDP smoke: the real-socket host. 16 Udp_cluster members on loopback  *)
+(* in a closed loop (each keeps 2 of its own messages outstanding until *)
+(* it has delivered them itself), 16 messages per member, Config.default *)
+(* — the shape of cobench's udp_saturate_n16, small enough for CI. The  *)
+(* counts (datagrams and steps per delivery, confirmations and CTLs per *)
+(* message) are the gated figures; rates depend on the host.            *)
+
+let udp_smoke () =
+  Report.header "udp_smoke — real-socket closed loop, n=16 (BENCH_udp_n16.json)";
+  let n = 16 and outstanding = 2 and per_source = 16 and deadline_s = 30. in
+  let c = Udp_cluster.create ~n () in
+  Fun.protect ~finally:(fun () -> Udp_cluster.close c) @@ fun () ->
+  let sent = Array.make n 0 and freed = Array.make n 0 in
+  let delivered = ref 0 in
+  for i = 0 to n - 1 do
+    Entity.add_observer (Udp_cluster.entity c i) (function
+      | Entity.Acknowledged d when d.payload <> "" ->
+        incr delivered;
+        if d.src = i then freed.(i) <- freed.(i) + 1
+      | _ -> ())
+  done;
+  let expected = n * n * per_source in
+  let steps = ref 0 in
+  let t0 = Monoclock.now_s () in
+  while !delivered < expected && Monoclock.now_s () -. t0 < deadline_s do
+    for i = 0 to n - 1 do
+      while sent.(i) < per_source && sent.(i) - freed.(i) < outstanding do
+        Udp_cluster.submit c ~src:i (Printf.sprintf "%d-%d" i sent.(i));
+        sent.(i) <- sent.(i) + 1
+      done
+    done;
+    ignore (Udp_cluster.step c ~timeout_s:0.005);
+    incr steps
+  done;
+  let elapsed = Monoclock.now_s () -. t0 in
+  let entities = List.init n (Udp_cluster.entity c) in
+  let sum f = List.fold_left (fun acc e -> acc + f e) 0 entities in
+  let m = Metrics.create () in
+  List.iter (fun e -> Metrics.add ~into:m (Entity.metrics e)) entities;
+  let messages = Array.fold_left ( + ) 0 sent in
+  let datagrams = Udp_cluster.datagrams_sent c in
+  let backlog = sum Entity.backlog and parked = sum Entity.pending_count in
+  let per_delivery k = float_of_int k /. float_of_int (max 1 !delivered) in
+  let per_message k = float_of_int k /. float_of_int (max 1 messages) in
+  let rate = float_of_int !delivered /. elapsed in
+  let dpd = per_delivery datagrams and spd = per_delivery !steps in
+  let cpm = per_message m.Metrics.confirmations_sent
+  and ctlpm = per_message m.Metrics.ctl_sent in
+  Printf.printf
+    "delivered %d/%d in %.3fs — %.0f deliveries/s, %.2f datagrams and %.3f \
+     steps per delivery, %.2f confirmations and %.2f CTLs per message\n"
+    !delivered expected elapsed rate dpd spd cpm ctlpm;
+  if !delivered < expected then
+    Printf.printf "SHORTFALL: backlog %d, parked %d, CTLs sent %d\n" backlog
+      parked m.Metrics.ctl_sent;
+  let body =
+    String.concat ","
+      [
+        Printf.sprintf "\"scenario\":\"udp_smoke\"";
+        Printf.sprintf "\"n\":%d" n;
+        Printf.sprintf "\"outstanding\":%d" outstanding;
+        Printf.sprintf "\"per_source\":%d" per_source;
+        Printf.sprintf "\"delivered\":%d" !delivered;
+        Printf.sprintf "\"expected\":%d" expected;
+        Printf.sprintf "\"elapsed_s\":%.6f" elapsed;
+        Printf.sprintf "\"deliveries_per_s\":%.1f" rate;
+        Printf.sprintf "\"datagrams\":%d" datagrams;
+        Printf.sprintf "\"datagrams_per_delivery\":%.4f" dpd;
+        Printf.sprintf "\"steps\":%d" !steps;
+        Printf.sprintf "\"steps_per_delivery\":%.4f" spd;
+        Printf.sprintf "\"confirmations_per_message\":%.4f" cpm;
+        Printf.sprintf "\"ctl_per_message\":%.4f" ctlpm;
+        Printf.sprintf "\"ctl\":%d" m.Metrics.ctl_sent;
+        Printf.sprintf "\"backlog\":%d" backlog;
+        Printf.sprintf "\"parked\":%d" parked;
+      ]
+  in
+  Out_channel.with_open_bin "BENCH_udp_n16.json" (fun oc ->
+      Out_channel.output_string oc ("{" ^ body ^ "}\n"));
+  Printf.printf "wrote BENCH_udp_n16.json\n\n"
+
+(* ------------------------------------------------------------------ *)
 (* Micro-benchmarks (wall clock, Bechamel).                             *)
 
 let micro () =
@@ -1159,7 +1247,8 @@ let all =
   [ ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
     ("e7", e7); ("e8", e8); ("micro", micro); ("json", json);
     ("pac", pac); ("loss_sweep", loss_sweep); ("throughput", throughput);
-    ("throughput_smoke", throughput_smoke); ("throughput_v1", throughput_v1) ]
+    ("throughput_smoke", throughput_smoke); ("throughput_v1", throughput_v1);
+    ("udp_smoke", udp_smoke) ]
 
 let () =
   let requested =
@@ -1177,6 +1266,6 @@ let () =
       | None ->
         Printf.eprintf
           "unknown experiment %S (expected e1..e8, micro, json, loss_sweep, \
-           throughput, throughput_smoke, throughput_v1)\n"
+           throughput, throughput_smoke, throughput_v1, udp_smoke)\n"
           name)
     requested

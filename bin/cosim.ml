@@ -211,7 +211,9 @@ let run_cmd n per_entity interval_ms duration_ms loss seed window defer_ms
   Printf.printf "oracle: %s\n"
     (if Oracle.ok o.Experiment.oracle then "CO service OK"
      else Format.asprintf "VIOLATIONS %a" Oracle.pp_report o.Experiment.oracle);
-  if Oracle.ok o.Experiment.oracle then 0 else 1
+  let shortfall = Experiment.shortfall o in
+  Printf.printf "shortfall: %d\n" shortfall;
+  if Oracle.ok o.Experiment.oracle && shortfall = 0 then 0 else 1
 
 let compare_cmd n per_entity interval_ms loss seed =
   let workload =

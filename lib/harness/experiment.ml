@@ -66,6 +66,8 @@ let run ?(max_events = 20_000_000) ?registry ?on_cluster ~config ~workload ()
   in
   (cluster, outcome)
 
+let shortfall outcome = (outcome.submitted * outcome.n) - outcome.delivered_total
+
 let pdus_per_message outcome =
   if outcome.submitted = 0 then 0.
   else

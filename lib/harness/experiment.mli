@@ -38,6 +38,13 @@ val run :
     and before the workload — the hook the CLI uses to arm periodic metric
     snapshots on the engine. *)
 
+val shortfall : outcome -> int
+(** Deliveries still owed: [submitted * n - delivered_total]. It counts
+    every message the workload submitted, so a request that never left a
+    flow-blocked queue shows here, while {!Oracle.report}'s [expected]
+    counts only messages that were sent. [0] on a run that delivered
+    everything everywhere. *)
+
 val pdus_per_message : outcome -> float
 (** Fresh protocol transmissions per application message — the paper's O(n)
     vs O(n²) traffic measure (E2). *)

@@ -300,23 +300,15 @@ let create ?registry ?(loss = 0.) ?(seed = 0) ?(config = Config.default) ?wires
 
 let size t = t.n
 
-let submit t ~src payload =
-  ignore (Entity.submit t.nodes.(src).entity payload);
-  flush_all t
+let submit t ~src payload = ignore (Entity.submit t.nodes.(src).entity payload)
 
-let fire_due_timers t =
-  let fired = ref false in
-  let continue = ref true in
-  while !continue do
-    match Repro_util.Pqueue.peek t.timers with
-    | Some timer when Simtime.compare timer.at (now_us t) <= 0 ->
-      ignore (Repro_util.Pqueue.pop t.timers);
-      fired := true;
-      timer.fn ()
-    | Some _ | None -> continue := false
-  done;
-  if !fired then flush_all t;
-  !fired
+let rec fire_due_timers t fired =
+  match Repro_util.Pqueue.peek t.timers with
+  | Some timer when Simtime.compare timer.at (now_us t) <= 0 ->
+    ignore (Repro_util.Pqueue.pop t.timers);
+    timer.fn ();
+    fire_due_timers t true
+  | Some _ | None -> fired
 
 (* Datagrams carry no entity id outside the payload; recover the sender
    from its bound source address (every entity sends from its own bound
@@ -374,7 +366,11 @@ let drain_socket t node =
 
 let step t ~timeout_s =
   if t.closed then invalid_arg "Udp_cluster.step: closed";
-  let fired = fire_due_timers t in
+  let fired = fire_due_timers t false in
+  (* The one egress flush outside the view-change cut. What the drain
+     below queues waits for the next step's, so a burst's confirmations
+     share frames with whatever the caller submits in between. *)
+  flush_all t;
   (* Wait no longer than the next timer deadline. *)
   let timeout_s =
     match Repro_util.Pqueue.peek t.timers with
@@ -384,17 +380,11 @@ let step t ~timeout_s =
     | None -> timeout_s
   in
   let fds = Array.to_list (Array.map (fun node -> node.socket) t.nodes) in
-  match Unix.select fds [] [] timeout_s with
-  | [], _, _ -> fired
-  | ready, _, _ ->
-    let got = ref fired in
-    Array.iter
-      (fun node ->
-        if List.mem node.socket ready then
-          if drain_socket t node then got := true)
-      t.nodes;
-    flush_all t;
-    !got
+  let ready, _, _ = Unix.select fds [] [] timeout_s in
+  Array.fold_left
+    (fun got node ->
+      (List.mem node.socket ready && drain_socket t node) || got)
+    fired t.nodes
 
 let run_for t ~seconds =
   (* Monotonic deadline: wall-clock steps (NTP slew, manual set) must not

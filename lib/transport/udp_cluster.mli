@@ -52,17 +52,24 @@ val create :
 val size : t -> int
 
 val submit : t -> src:int -> string -> unit
-(** Issue a DT request at entity [src] immediately. *)
+(** Issue a DT request at entity [src]. The entity sequences it at once
+    (or queues it behind the flow window); its datagrams wait in [src]'s
+    egress queue and leave at the next {!step}. *)
 
 val step : t -> timeout_s:float -> bool
-(** Run one event-loop iteration: fire due timers, then wait up to
-    [timeout_s] for datagrams and process them. Each ready member's socket
-    is drained until it would block; everything decoded from that step's
-    datagrams reaches the member's entity as one
-    {!Repro_core.Entity.receive_batch}, in arrival order, so the
-    protocol's post-processing and confirmation decision run once per
-    member per step. Returns [false] when nothing happened (no timer
-    fired, no datagram arrived). *)
+(** Run one event-loop iteration, which sends first and then receives:
+    fire due timers; flush every member's egress queue (what {!submit},
+    the timers and the previous step's ingress queued, with the loopback
+    self-copies and whatever they produce); then wait up to [timeout_s],
+    capped at the next timer deadline, for datagrams and process them.
+    This flush is the only place egress leaves, apart from the cut in
+    {!commit_view_change}. Each ready member's socket is drained until it
+    would block; everything decoded from that step's datagrams reaches
+    the member's entity as one {!Repro_core.Entity.receive_batch}, in
+    arrival order, so the protocol's post-processing and confirmation
+    decision run once per member per step. What that ingress queues stays
+    queued until the next step. Returns [false] when nothing happened (no
+    timer fired, no datagram arrived). *)
 
 val run_for : t -> seconds:float -> unit
 (** Drive the loop for a real-time duration, measured on the monotonic

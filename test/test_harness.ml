@@ -137,6 +137,18 @@ let test_experiment_pdus_per_message () =
   let ppm = Experiment.pdus_per_message outcome in
   check bool_t "at least 1 pdu per message" true (ppm >= 1.)
 
+(* The oracle checks what was sent; the shortfall also counts what was
+   submitted but never delivered, so a run cut short reads above 0. *)
+let test_experiment_shortfall () =
+  let config = Cluster.default_config ~n:4 in
+  let workload =
+    Workload.continuous ~n:4 ~per_entity:5 ~interval:(Simtime.of_ms 3) ()
+  in
+  let _, clean = Experiment.run ~config ~workload () in
+  check int_t "clean run owes nothing" 0 (Experiment.shortfall clean);
+  let _, cut = Experiment.run ~max_events:200 ~config ~workload () in
+  check bool_t "cut run owes deliveries" true (Experiment.shortfall cut > 0)
+
 (* --- Trace_stats --- *)
 
 module Trace_stats = Repro_harness.Trace_stats
@@ -232,6 +244,7 @@ let () =
         [
           Alcotest.test_case "clean run" `Quick test_experiment_run_clean;
           Alcotest.test_case "pdus per message" `Quick test_experiment_pdus_per_message;
+          Alcotest.test_case "shortfall" `Quick test_experiment_shortfall;
         ] );
       ( "trace_stats",
         [

@@ -10,6 +10,7 @@ module Simtime = Repro_sim.Simtime
 module Trace_ctx = Repro_obs.Trace_ctx
 module Monoclock = Repro_util.Monoclock
 module Oracle = Repro_harness.Oracle
+module Wirestats = Repro_obs.Wirestats
 
 let check = Alcotest.check
 let int_t = Alcotest.int
@@ -210,8 +211,8 @@ let test_view_change_requires_reconciliation () =
   let t = Udp.create ~config:fast_config ~n:2 () in
   Fun.protect ~finally:(fun () -> Udp.close t) @@ fun () ->
   Udp.submit t ~src:0 "in-flight";
-  (* The submit flushed datagrams but nothing has been received: entity 1
-     still owes delivery work, so the barrier precondition fails. *)
+  (* The submit's datagrams wait in member 0's egress queue for the next
+     step, so the barrier precondition fails. *)
   (match Udp.commit_view_change t Udp.Add_node with
   | Ok () -> Alcotest.fail "cut committed without the barrier"
   | Error _ -> ());
@@ -297,15 +298,50 @@ let test_one_batch_per_step () =
         incr passes;
         counted := !accepted
       end);
-  (* Loopback [sendto] queues each datagram on member 0's socket before
-     [submit] returns. *)
+  (* [submit] only queues: the step's flush sends all five broadcasts,
+     and loopback [sendto] has put each datagram on member 0's socket
+     before the step selects. *)
   for src = 1 to 5 do
     Udp.submit t ~src (Printf.sprintf "from-%d" src)
   done;
+  check int_t "nothing sent before the step" 0 (Udp.datagrams_sent t);
   check int_t "nothing received before the step" 0 !accepted;
   ignore (Udp.step t ~timeout_s:1.);
+  check int_t "five broadcasts to five peers" (5 * 5) (Udp.datagrams_sent t);
   check int_t "one receive pass" 1 !passes;
   check int_t "all five PDUs accepted" 5 !accepted
+
+(* Egress leaves once per step: what a drain queues stays queued until
+   the next step's flush, so it is framed together with what the caller
+   submits in between. With immediate confirmations, member 1 accepts
+   member 0's PDU (queueing a sequenced empty for everyone) and then
+   submits; the next step sends both in one v2 batch datagram. *)
+let test_drain_output_rides_with_next_submit () =
+  let config =
+    {
+      Config.default with
+      Config.defer = Config.Immediate;
+      ret_retry_timeout = Simtime.of_ms 60_000;
+      ret_backoff_max = Simtime.of_ms 60_000;
+    }
+  in
+  let t = Udp.create ~config ~n:3 () in
+  Fun.protect ~finally:(fun () -> Udp.close t) @@ fun () ->
+  let accepted = ref 0 in
+  Entity.add_observer (Udp.entity t 1) (function
+    | Entity.Accepted d when d.src = 0 -> incr accepted
+    | _ -> ());
+  Udp.submit t ~src:0 "question";
+  ignore (Udp.step t ~timeout_s:1.);
+  check int_t "member 1 accepted the question" 1 !accepted;
+  let ws = Udp.wirestats t in
+  let datagrams = Wirestats.datagrams ws and pdus = Wirestats.pdus ws in
+  Udp.submit t ~src:1 "answer";
+  ignore (Udp.step t ~timeout_s:1.);
+  let datagrams = Wirestats.datagrams ws - datagrams
+  and pdus = Wirestats.pdus ws - pdus in
+  if pdus <= datagrams then
+    Alcotest.failf "no batch of two: %d PDUs in %d datagrams" pdus datagrams
 
 (* Every member delivers every message exactly once, FIFO per source, and
    in causal order read from each PDU's own ACK vector: [p]'s sender had
@@ -392,6 +428,8 @@ let () =
             test_view_change_cuts_recorder;
           Alcotest.test_case "one receive batch per step" `Quick
             test_one_batch_per_step;
+          Alcotest.test_case "drain output rides with the next submit" `Quick
+            test_drain_output_rides_with_next_submit;
           Alcotest.test_case "closed loop n=16" `Quick test_closed_loop_n16;
           Alcotest.test_case "close idempotent" `Quick test_close_is_idempotent;
         ] );
