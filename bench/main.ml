@@ -669,7 +669,9 @@ let e8 () =
     Cluster.submit_at cluster ~at:(Simtime.of_ms 9) ~src:3 "noise";
     Cluster.run cluster ~max_events;
     let oracle =
-      Oracle.check_cluster cluster ~expected_tags:(Cluster.data_tags cluster)
+      Oracle.check_recording (Cluster.recorded cluster)
+        ~entities:(List.init n Fun.id)
+        ~expected_tags:(Cluster.data_tags cluster)
     in
     ( List.length oracle.Oracle.causal,
       oracle.Oracle.missing = [] && oracle.Oracle.dups = []

@@ -21,6 +21,9 @@ module Stats = Repro_util.Stats
 module Table = Repro_util.Table
 module Registry = Repro_obs.Registry
 module Exporter = Repro_obs.Exporter
+module Plan = Repro_fault.Plan
+module Scenario = Repro_scenario.Scenario
+module Runner = Repro_scenario.Runner
 open Cmdliner
 
 let make_workload ~kind ~n ~per_entity ~interval_ms ~duration_ms ~seed =
@@ -227,8 +230,8 @@ let compare_cmd n per_entity interval_ms loss seed =
     o.Experiment.delivered_total (o.Experiment.submitted * n)
     o.Experiment.tap_ms.Stats.mean o.Experiment.transmissions
     o.Experiment.metrics.Metrics.retransmitted;
-  (* Baselines over equivalent media *)
-  let fresh_net () =
+  (* Baselines over equivalent media, each fed the same workload. *)
+  let run_baseline create broadcast =
     let engine = Engine.create () in
     let topology = Topology.uniform ~n ~delay:(Simtime.of_ms 1) in
     let cfg =
@@ -240,103 +243,95 @@ let compare_cmd n per_entity interval_ms loss seed =
         seed;
       }
     in
-    (engine, Network.create engine cfg)
+    let p = create engine (Network.create engine cfg) in
+    let tag = ref 0 in
+    Workload.apply_with
+      ~submit:(fun ~at ~src payload ->
+        incr tag;
+        let t = !tag in
+        Engine.schedule engine ~at (fun () -> broadcast p ~src ~tag:t payload))
+      workload;
+    Engine.run engine ~max_events:20_000_000;
+    p
   in
-  let engine, net = fresh_net () in
-  let pb = Repro_baselines.Pobcast.create engine net ~n ~retry:(Simtime.of_ms 10) in
-  let tag = ref 0 in
-  Workload.apply_with
-    ~submit:(fun ~at ~src payload ->
-      incr tag;
-      let t = !tag in
-      Engine.schedule engine ~at (fun () ->
-          Repro_baselines.Pobcast.broadcast pb ~src ~tag:t payload))
-    workload;
-  Engine.run engine ~max_events:20_000_000;
-  let pb_delivered =
-    List.fold_left
-      (fun acc e ->
-        acc + List.length (Repro_baselines.Pobcast.delivered_tags pb ~entity:e))
-      0 (List.init n Fun.id)
+  let sum f = List.fold_left (fun acc e -> acc + f ~entity:e) 0 (List.init n Fun.id) in
+  let expected = List.length workload * n in
+  let retry = Simtime.of_ms 10 in
+  let pb =
+    run_baseline
+      (fun engine net -> Repro_baselines.Pobcast.create engine net ~n ~retry)
+      Repro_baselines.Pobcast.broadcast
   in
   Printf.printf "%-8s delivered %4d/%d  rexmit %d (FIFO only: may violate causality)\n"
-    "PO" pb_delivered
-    (List.length workload * n)
+    "PO"
+    (sum (fun ~entity ->
+         List.length (Repro_baselines.Pobcast.delivered_tags pb ~entity)))
+    expected
     (Repro_baselines.Pobcast.retransmissions pb);
-  let engine, net = fresh_net () in
-  let tb = Repro_baselines.Tobcast.create engine net ~n ~retry:(Simtime.of_ms 10) in
-  let tag = ref 0 in
-  Workload.apply_with
-    ~submit:(fun ~at ~src payload ->
-      incr tag;
-      let t = !tag in
-      Engine.schedule engine ~at (fun () ->
-          Repro_baselines.Tobcast.broadcast tb ~src ~tag:t payload))
-    workload;
-  Engine.run engine ~max_events:20_000_000;
-  let tb_delivered =
-    List.fold_left
-      (fun acc e ->
-        acc + List.length (Repro_baselines.Tobcast.delivered_tags tb ~entity:e))
-      0 (List.init n Fun.id)
+  let tb =
+    run_baseline
+      (fun engine net -> Repro_baselines.Tobcast.create engine net ~n ~retry)
+      Repro_baselines.Tobcast.broadcast
   in
   Printf.printf
     "%-8s delivered %4d/%d  rexmit %d  protocol_errors %d (go-back-N)\n" "TO"
-    tb_delivered
-    (List.length workload * n)
+    (sum (fun ~entity ->
+         List.length (Repro_baselines.Tobcast.delivered_tags tb ~entity)))
+    expected
     (Repro_baselines.Tobcast.retransmissions tb)
     (Repro_baselines.Tobcast.protocol_errors tb);
-  let engine, net = fresh_net () in
-  let cb = Repro_baselines.Cbcast.create engine net ~n in
-  let tag = ref 0 in
-  Workload.apply_with
-    ~submit:(fun ~at ~src payload ->
-      incr tag;
-      let t = !tag in
-      Engine.schedule engine ~at (fun () ->
-          Repro_baselines.Cbcast.broadcast cb ~src ~tag:t payload))
-    workload;
-  Engine.run engine ~max_events:20_000_000;
-  let cb_stalled =
-    List.fold_left
-      (fun acc e -> acc + Repro_baselines.Cbcast.stalled cb ~entity:e)
-      0 (List.init n Fun.id)
+  let cb =
+    run_baseline
+      (fun engine net -> Repro_baselines.Cbcast.create engine net ~n)
+      Repro_baselines.Cbcast.broadcast
   in
   Printf.printf "%-8s delivered %4d/%d  stalled %d (no loss detection)\n" "CBCAST"
     (Repro_baselines.Cbcast.delivered_total cb)
-    (List.length workload * n)
-    cb_stalled;
+    expected
+    (sum (Repro_baselines.Cbcast.stalled cb));
   0
+
+(* The plans or scenarios a command runs: [all], or one found by name
+   (an unknown name exits 2). *)
+let select ~all ~find ~what ~cmd name =
+  match name with
+  | "all" -> all
+  | name -> (
+    match find name with
+    | Some x -> [ x ]
+    | None ->
+      prerr_endline
+        (Printf.sprintf "unknown %s %s (cosim %s --list shows them)" what name
+           cmd);
+      exit 2)
+
+let list_named ~width header names =
+  print_endline header;
+  List.iter (fun (name, what) -> Printf.printf "  %-*s %s\n" width name what) names
+
+(* Write the registry if asked, then exit on the verdicts. *)
+let conclude registry metrics_out oks =
+  (match metrics_out with
+  | Some file ->
+    Exporter.write registry ~file;
+    Printf.printf "metrics written to %s\n" file
+  | None -> ());
+  if List.for_all Fun.id oks then 0 else 1
 
 let chaos_cmd plan_name list_plans churn n seed per_entity wire tracing
     metrics_out =
+  let named = List.map (fun p -> (p.Plan.name, p.Plan.description)) in
   if list_plans then begin
-    print_endline "built-in fault plans (cosim chaos <name>):";
-    List.iter
-      (fun p ->
-        Printf.printf "  %-16s %s\n" p.Repro_fault.Plan.name
-          p.Repro_fault.Plan.description)
-      Repro_fault.Plan.all;
-    print_endline "membership churn plans (cosim chaos --churn <name>):";
-    List.iter
-      (fun p ->
-        Printf.printf "  %-16s %s\n" p.Repro_fault.Plan.name
-          p.Repro_fault.Plan.description)
-      Repro_fault.Plan.churn_all;
+    list_named ~width:16 "built-in fault plans (cosim chaos <name>):"
+      (named Plan.all);
+    list_named ~width:16 "membership churn plans (cosim chaos <name>):"
+      (named Plan.churn_all);
     0
   end
   else begin
     let plans =
-      match plan_name with
-      | "all" ->
-        if churn then Repro_fault.Plan.churn_all else Repro_fault.Plan.all
-      | name -> (
-        match Repro_fault.Plan.find name with
-        | Some p -> [ p ]
-        | None ->
-          prerr_endline
-            ("unknown plan " ^ name ^ " (cosim chaos --list shows them)");
-          exit 2)
+      select ~what:"plan" ~cmd:"chaos" ~find:Plan.find plan_name
+        ~all:(if churn then Plan.churn_all else Plan.all)
     in
     let wire =
       match wire with
@@ -348,125 +343,73 @@ let chaos_cmd plan_name list_plans churn n seed per_entity wire tracing
         exit 2
     in
     let registry = Registry.global () in
-    (* Churning plans (scripted Join/Leave, or anything under --churn) run
-       on the dynamic-membership group; fixed plans run as scenarios on the
-       scenario runner. The churn group needs node ids up to 4, so the
-       endpoint count never drops below 5. *)
-    let oks =
-      List.map
-        (fun plan ->
-          if
-            churn
-            || Repro_fault.Plan.churning plan
-            || List.mem plan.Repro_fault.Plan.name
-                 Repro_fault.Plan.churn_names
-          then begin
-            let o =
-              Repro_fault.Chaos.run_churn ~max_nodes:(max n 5) ~seed
-                ~per_member:per_entity ~registry plan
-            in
-            Format.printf "%a@.@." Repro_fault.Chaos.pp_churn_outcome o;
-            o.Repro_fault.Chaos.c_ok
-          end
-          else begin
-            let compiled =
-              Repro_scenario.Scenario.of_plan ~n ~per_entity plan
-            in
-            let r =
-              Repro_scenario.Runner.run ~wire ~tracing ~registry ~compiled
-                ~seed Repro_scenario.Runner.Co
-            in
-            Format.printf "chaos %s (seed %d)@.%a@.@." plan.Repro_fault.Plan.name
-              seed Repro_scenario.Runner.pp r;
-            Repro_scenario.Runner.ok r
-          end)
-        plans
-    in
-    (match metrics_out with
-    | Some file ->
-      Exporter.write registry ~file;
-      Printf.printf "metrics written to %s\n" file
-    | None -> ());
-    if List.for_all Fun.id oks then 0 else 1
+    conclude registry metrics_out
+      (List.map
+         (fun plan ->
+           (* Churn plans script node ids up to 4. *)
+           let n = if Plan.churning plan then max n 5 else n in
+           let compiled = Scenario.of_plan ~n ~per_entity plan in
+           let r =
+             Runner.run ~wire ~tracing ~registry ~compiled ~seed Runner.Co
+           in
+           Format.printf "chaos %s (seed %d)@.%a@.@." plan.Plan.name seed
+             Runner.pp r;
+           Runner.ok r)
+         plans)
   end
 
 let scenario_cmd name list_scenarios seed protocol out metrics_out =
   if list_scenarios then begin
-    print_endline "named scenarios (cosim scenario --name <name>):";
-    List.iter
-      (fun s ->
-        Printf.printf "  %-14s %s\n" s.Repro_scenario.Scenario.name
-          s.Repro_scenario.Scenario.description)
-      Repro_scenario.Scenario.builtins;
+    list_named ~width:14 "named scenarios (cosim scenario --name <name>):"
+      (List.map
+         (fun s -> (s.Scenario.name, s.Scenario.description))
+         Scenario.builtins);
     0
   end
   else begin
     let scenarios =
-      match name with
-      | "all" -> Repro_scenario.Scenario.builtins
-      | name -> (
-        match Repro_scenario.Scenario.find name with
-        | Some s -> [ s ]
-        | None ->
-          prerr_endline
-            ("unknown scenario " ^ name ^ " (cosim scenario --list shows them)");
-          exit 2)
+      select ~what:"scenario" ~cmd:"scenario" ~find:Scenario.find
+        ~all:Scenario.builtins name
     in
     let protocols =
       match protocol with
-      | "all" -> Repro_scenario.Runner.all_protocols
+      | "all" -> Runner.all_protocols
       | p -> (
-        match Repro_scenario.Runner.protocol_of_name p with
+        match Runner.protocol_of_name p with
         | Some p -> [ p ]
         | None ->
           prerr_endline ("unknown protocol " ^ p ^ " (co, cbcast, tobcast, all)");
           exit 2)
     in
     let registry = Registry.global () in
-    let oks =
-      List.map
-        (fun sc ->
-          let compiled = Repro_scenario.Scenario.compile ~seed sc in
-          let results =
-            List.map
-              (fun p -> Repro_scenario.Runner.run ~compiled ~seed p)
-              protocols
-          in
-          Repro_harness.Report.header
-            (Printf.sprintf "scenario %s (seed %d)"
-               sc.Repro_scenario.Scenario.name seed);
-          Repro_harness.Report.para sc.Repro_scenario.Scenario.description;
-          let grid = Repro_scenario.Runner.deadline_grid compiled results in
-          let rescaled =
-            List.map (Repro_scenario.Runner.rescale ~deadlines_ms:grid) results
-          in
-          Table.print
-            (Repro_harness.Report.pac_table
-               (List.map (fun r -> r.Repro_scenario.Runner.curve) rescaled));
-          List.iter
-            (Format.printf "%a@." Repro_scenario.Runner.pp)
-            rescaled;
-          Repro_scenario.Runner.to_registry registry ~compiled results;
-          let file =
-            match out with
-            | Some f -> f
-            | None ->
-              Printf.sprintf "BENCH_pac_%s.json" sc.Repro_scenario.Scenario.name
-          in
-          let oc = open_out file in
-          output_string oc
-            (Repro_scenario.Runner.artifact_json ~compiled ~seed results);
-          close_out oc;
-          Printf.printf "PAC curves written to %s\n" file;
-          List.for_all Repro_scenario.Runner.ok results)
-        scenarios
-    in
-    (match metrics_out with
-    | Some file ->
-      Exporter.write registry ~file;
-      Printf.printf "metrics written to %s\n" file
-    | None -> ());
-    if List.for_all Fun.id oks then 0 else 1
+    conclude registry metrics_out
+      (List.map
+         (fun sc ->
+           let compiled = Scenario.compile ~seed sc in
+           let results =
+             List.map (fun p -> Runner.run ~compiled ~seed p) protocols
+           in
+           Repro_harness.Report.header
+             (Printf.sprintf "scenario %s (seed %d)" sc.Scenario.name seed);
+           Repro_harness.Report.para sc.Scenario.description;
+           let grid = Runner.deadline_grid compiled results in
+           let rescaled = List.map (Runner.rescale ~deadlines_ms:grid) results in
+           Table.print
+             (Repro_harness.Report.pac_table
+                (List.map (fun r -> r.Runner.curve) rescaled));
+           List.iter (Format.printf "%a@." Runner.pp) rescaled;
+           Runner.to_registry registry ~compiled results;
+           let file =
+             match out with
+             | Some f -> f
+             | None -> Printf.sprintf "BENCH_pac_%s.json" sc.Scenario.name
+           in
+           let oc = open_out file in
+           output_string oc (Runner.artifact_json ~compiled ~seed results);
+           close_out oc;
+           Printf.printf "PAC curves written to %s\n" file;
+           List.for_all Runner.ok results)
+         scenarios)
   end
 
 let examples_cmd () =
@@ -601,11 +544,10 @@ let chaos_churn_arg =
     value & flag
     & info [ "churn" ]
         ~doc:
-          "Run on the dynamic-membership group: scripted $(b,Join)/$(b,Leave) \
-           events become view changes, crashes feed the suspicion watchdog, \
-           and the per-epoch convergence and epoch-isolation oracles render \
-           the verdict. $(b,all) then means every churn plan. Plans that \
-           script membership events take this runner automatically.")
+          "Make $(b,all) mean every churn plan. A churning plan (scripted \
+           $(b,Join)/$(b,Leave), or a crash never restarted) always runs CO \
+           on the dynamic-membership group: membership events become view \
+           changes and crashes feed the suspicion watchdog.")
 
 let chaos_term =
   Term.(

@@ -37,4 +37,3 @@ let msg_precedes t p q =
 let msg_concurrent t p q =
   p <> q && (not (msg_precedes t p q)) && not (msg_precedes t q p)
 
-let clock_of t entity = t.clocks.(entity)

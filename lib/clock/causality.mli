@@ -34,5 +34,3 @@ val msg_precedes : t -> int -> int -> bool
 val msg_concurrent : t -> int -> int -> bool
 (** Neither [p ≺ q] nor [q ≺ p] and [p <> q]. *)
 
-val clock_of : t -> int -> Vector_clock.t
-(** Current clock of an entity. *)

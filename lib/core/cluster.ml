@@ -35,18 +35,85 @@ let default_config ~n =
 let tag_of_key ~src ~seq = (src * 0x1000000) + seq
 let key_of_tag tag = (tag / 0x1000000, tag mod 0x1000000)
 
+(* --- Recording: what a sim host keeps about its entities' traffic --- *)
+
+type recording = {
+  engine_of : Engine.t;
+  log : Trace.t;
+  causality_of : Repro_clock.Causality.t;
+  first_sent : (int, Simtime.t) Hashtbl.t; (* tag -> first broadcast *)
+  mutable rev_data_tags : int list; (* data PDUs, newest first *)
+  delivered : (Simtime.t * int * Pdu.data) list array; (* newest first *)
+  preack_ms : Repro_util.Stats.Acc.t;
+  ack_ms : Repro_util.Stats.Acc.t;
+  deliver_ms : Repro_util.Stats.Acc.t;
+}
+
+let recording ~slots engine log =
+  {
+    engine_of = engine;
+    log;
+    causality_of = Repro_clock.Causality.create ~n:slots;
+    first_sent = Hashtbl.create 1024;
+    rev_data_tags = [];
+    delivered = Array.make slots [];
+    preack_ms = Repro_util.Stats.Acc.create ();
+    ack_ms = Repro_util.Stats.Acc.create ();
+    deliver_ms = Repro_util.Stats.Acc.create ();
+  }
+
+let record r ~slot ~self ~tag (actions : Entity.actions) build =
+  let now () = Engine.now r.engine_of in
+  let tag_of (d : Pdu.data) = tag ~src:d.src ~seq:d.seq in
+  let since tag acc =
+    match Hashtbl.find_opt r.first_sent tag with
+    | Some t0 -> Repro_util.Stats.Acc.add acc (Simtime.to_ms (now () - t0))
+    | None -> ()
+  in
+  let broadcast pdu =
+    (match pdu with
+    | Pdu.Data d when d.src = self ->
+      let tag = tag_of d in
+      if not (Hashtbl.mem r.first_sent tag) then begin
+        Hashtbl.add r.first_sent tag (now ());
+        if not (Pdu.is_confirmation d) then begin
+          r.rev_data_tags <- tag :: r.rev_data_tags;
+          Trace.record r.log (Trace.Submitted { time = now (); src = slot; tag })
+        end;
+        Repro_clock.Causality.send r.causality_of ~entity:slot ~msg:tag
+      end
+    | Pdu.Data _ | Pdu.Ret _ | Pdu.Ctl _ -> ());
+    actions.broadcast pdu
+  in
+  let deliver d =
+    let tag = tag_of d in
+    r.delivered.(slot) <- (now (), tag, d) :: r.delivered.(slot);
+    Trace.record r.log (Trace.Delivered { time = now (); entity = slot; tag });
+    since tag r.deliver_ms;
+    actions.deliver d
+  in
+  let entity = build { actions with broadcast; deliver } in
+  Entity.add_observer entity (function
+    | Entity.Accepted d ->
+      (* Ground-truth happened-before: acceptance is the paper's receipt
+         event r_i[p]. *)
+      Repro_clock.Causality.receive r.causality_of ~entity:slot ~msg:(tag_of d)
+    | Entity.Preacknowledged d -> since (tag_of d) r.preack_ms
+    | Entity.Acknowledged d -> since (tag_of d) r.ack_ms
+    | Entity.Gap_detected _ | Entity.Ret_answered _ -> ());
+  entity
+
+let recorded_deliveries r ~slot = List.rev r.delivered.(slot)
+let first_send r tag = Hashtbl.find_opt r.first_sent tag
+let sent_data r = List.rev r.rev_data_tags
+let happened_before r = r.causality_of
+
 type t = {
   config : config;
   engine : Engine.t;
   net : Pdu.t Network.t;
   entities : Entity.t array;
-  deliveries : (Simtime.t * Pdu.data) list array; (* reverse chronological *)
-  send_times : (int * int, Simtime.t) Hashtbl.t;
-  preack_ms : Repro_util.Stats.Acc.t;
-  ack_ms : Repro_util.Stats.Acc.t;
-  deliver_ms : Repro_util.Stats.Acc.t;
-  causality : Repro_clock.Causality.t;
-  rev_data_keys : (int * int) list ref; (* data PDUs, newest first *)
+  recording : recording;
   recorder : Trace_ctx.t option;
   (* Crash-stop support. [down.(i)] silences entity [i]: its receive handler
      discards, scheduled submissions are skipped, and every timer armed by
@@ -73,13 +140,7 @@ let create (config : config) =
     }
   in
   let net = Network.create engine net_config in
-  let deliveries = Array.make config.n [] in
-  let send_times = Hashtbl.create 1024 in
-  let preack_ms = Repro_util.Stats.Acc.create () in
-  let ack_ms = Repro_util.Stats.Acc.create () in
-  let deliver_ms = Repro_util.Stats.Acc.create () in
-  let causality = Repro_clock.Causality.create ~n:config.n in
-  let rev_data_keys = ref [] in
+  let recording = recording ~slots:config.n engine (Network.trace net) in
   let salt =
     if config.protocol.Config.tracing then
       Some (Trace_ctx.salt_of_seed ~seed:config.seed)
@@ -121,92 +182,46 @@ let create (config : config) =
     | Ok _ | Error _ -> invalid_arg "Cluster: wire round-trip failed"
   in
   let build_entity checkpoint id =
-        let record_first_send pdu =
-          match pdu with
-          | Pdu.Data d when d.src = id ->
-            let key = Pdu.key d in
-            if not (Hashtbl.mem send_times key) then begin
-              Hashtbl.add send_times key (Engine.now engine);
-              if not (Pdu.is_confirmation d) then begin
-                rev_data_keys := key :: !rev_data_keys;
-                Trace.record (Network.trace net)
-                  (Trace.Submitted
-                     {
-                       time = Engine.now engine;
-                       src = id;
-                       tag = tag_of_key ~src:d.src ~seq:d.seq;
-                     })
-              end;
-              Repro_clock.Causality.send causality ~entity:id
-                ~msg:(tag_of_key ~src:d.src ~seq:d.seq)
-            end
-          | Pdu.Data _ | Pdu.Ret _ | Pdu.Ctl _ -> ()
-        in
-        let actions =
-          {
-            Entity.broadcast =
-              (fun pdu ->
-                let pdu = wire_roundtrip pdu in
-                record_first_send pdu;
-                ignore (Network.broadcast net ~src:id pdu));
-            unicast =
-              (fun ~dst pdu ->
-                ignore (Network.unicast net ~src:id ~dst (wire_roundtrip pdu)));
-            deliver =
-              (fun d ->
-                let now = Engine.now engine in
-                deliveries.(id) <- (now, d) :: deliveries.(id);
-                Trace.record (Network.trace net)
-                  (Trace.Delivered
-                     { time = now; entity = id; tag = tag_of_key ~src:d.src ~seq:d.seq });
-                match Hashtbl.find_opt send_times (Pdu.key d) with
-                | Some t0 ->
-                  Repro_util.Stats.Acc.add deliver_ms (Simtime.to_ms (now - t0))
-                | None -> ());
-            now = (fun () -> Engine.now engine);
-            set_timer =
-              (fun ~delay f ->
-                let inc = incarnation.(id) in
-                Engine.schedule_after engine ~delay (fun () ->
-                    if (not down.(id)) && incarnation.(id) = inc then f ()));
-            available_buffer = (fun () -> Network.available_buffer net id);
-          }
-        in
-        let entity =
+    let actions =
+      {
+        Entity.broadcast =
+          (fun pdu ->
+            ignore (Network.broadcast net ~src:id (wire_roundtrip pdu)));
+        unicast =
+          (fun ~dst pdu ->
+            ignore (Network.unicast net ~src:id ~dst (wire_roundtrip pdu)));
+        deliver = ignore;
+        now = (fun () -> Engine.now engine);
+        set_timer =
+          (fun ~delay f ->
+            let inc = incarnation.(id) in
+            Engine.schedule_after engine ~delay (fun () ->
+                if (not down.(id)) && incarnation.(id) = inc then f ()));
+        available_buffer = (fun () -> Network.available_buffer net id);
+      }
+    in
+    let entity =
+      record recording ~slot:id ~self:id ~tag:tag_of_key actions
+        (fun actions ->
           match checkpoint with
-          | None -> Entity.create ~config:config.protocol ~id ~n:config.n ~actions
+          | None ->
+            Entity.create ~config:config.protocol ~id ~n:config.n ~actions
           | Some blob -> (
             match Entity.restore ~config:config.protocol ~actions blob with
             | Ok e -> e
             | Error err ->
               invalid_arg
                 (Format.asprintf "Cluster.restart: corrupt checkpoint: %a"
-                   Entity.pp_restore_error err))
-        in
-        Entity.add_observer entity (fun ev ->
-            let now = Engine.now engine in
-            let latency (d : Pdu.data) acc =
-              match Hashtbl.find_opt send_times (Pdu.key d) with
-              | Some t0 -> Repro_util.Stats.Acc.add acc (Simtime.to_ms (now - t0))
-              | None -> ()
-            in
-            match ev with
-            | Entity.Accepted d ->
-              (* Ground-truth happened-before: acceptance is the paper's
-                 receipt event r_i[p]. *)
-              Repro_clock.Causality.receive causality ~entity:id
-                ~msg:(tag_of_key ~src:d.src ~seq:d.seq)
-            | Entity.Preacknowledged d -> latency d preack_ms
-            | Entity.Acknowledged d -> latency d ack_ms
-            | Entity.Gap_detected _ | Entity.Ret_answered _ -> ());
-        (match recorder with
-        | Some r ->
-          Entity.set_probe entity
-            (Probe.of_recorder r ~entity:id ~incarnation:incarnation.(id)
-               ~now:(fun () -> Engine.now engine)
-               ())
-        | None -> ());
-        entity
+                   Entity.pp_restore_error err)))
+    in
+    (match recorder with
+    | Some r ->
+      Entity.set_probe entity
+        (Probe.of_recorder r ~entity:id ~incarnation:incarnation.(id)
+           ~now:(fun () -> Engine.now engine)
+           ())
+    | None -> ());
+    entity
   in
   let entities = Array.init config.n (build_entity None) in
   Array.iteri
@@ -221,13 +236,7 @@ let create (config : config) =
     engine;
     net;
     entities;
-    deliveries;
-    send_times;
-    preack_ms;
-    ack_ms;
-    deliver_ms;
-    causality;
-    rev_data_keys;
+    recording;
     recorder;
     down;
     incarnation;
@@ -284,16 +293,15 @@ let restart t ~id =
     (Trace.Restarted { time = Engine.now t.engine; entity = id });
   Entity.kick entity
 
-let deliveries t ~entity = List.rev t.deliveries.(entity)
+let deliveries t ~entity =
+  List.map (fun (at, _, d) -> (at, d)) (recorded_deliveries t.recording ~slot:entity)
 
 let delivery_keys t ~entity =
-  List.rev_map (fun (_, d) -> Pdu.key d) t.deliveries.(entity)
+  List.rev_map (fun (_, _, d) -> Pdu.key d) t.recording.delivered.(entity)
 
-let send_time t ~key = Hashtbl.find_opt t.send_times key
-
-let delivery_latencies t = Repro_util.Stats.Acc.samples t.deliver_ms
-let preack_latencies t = Repro_util.Stats.Acc.samples t.preack_ms
-let ack_latencies t = Repro_util.Stats.Acc.samples t.ack_ms
+let delivery_latencies t = Repro_util.Stats.Acc.samples t.recording.deliver_ms
+let preack_latencies t = Repro_util.Stats.Acc.samples t.recording.preack_ms
+let ack_latencies t = Repro_util.Stats.Acc.samples t.recording.ack_ms
 
 let aggregate_metrics t =
   let acc = Metrics.create () in
@@ -328,9 +336,5 @@ let sync_metrics t =
          ~name:"co_sim_time_seconds" [])
       (Simtime.to_ms (Engine.now t.engine) /. 1000.)
 let trace t = Network.trace t.net
-let causality t = t.causality
-
-let data_keys t = List.rev !(t.rev_data_keys)
-
-let data_tags t =
-  List.rev_map (fun (src, seq) -> tag_of_key ~src ~seq) !(t.rev_data_keys)
+let recorded t = t.recording
+let data_tags t = sent_data t.recording

@@ -35,6 +35,41 @@ val default_config : n:int -> config
 (** Uniform 1ms topology, capacity 64, default service time, no injected
     loss. *)
 
+(** {2 Recording} — what a sim host (this cluster, [Repro_member.Group])
+    records of each entity it wires: first sends, timed deliveries,
+    [Submitted]/[Delivered] trace events, ground-truth happened-before and
+    Tap / pre-ack / ack samples, under host-chosen slots and tags. *)
+
+type recording
+
+val recording :
+  slots:int -> Repro_sim.Engine.t -> Repro_sim.Trace.t -> recording
+
+val record :
+  recording ->
+  slot:int ->
+  self:int ->
+  tag:(src:int -> seq:int -> int) ->
+  Entity.actions ->
+  (Entity.actions -> Entity.t) ->
+  Entity.t
+(** [record r ~slot ~self ~tag actions build] builds an entity over
+    [actions] plus the recording and observes it. [self] is the id it
+    sends as; [tag] names a PDU of its id space. *)
+
+val recorded_deliveries :
+  recording -> slot:int -> (Repro_sim.Simtime.t * int * Repro_pdu.Pdu.data) list
+(** [(instant, tag, pdu)] per delivery, chronological. *)
+
+val first_send : recording -> int -> Repro_sim.Simtime.t option
+
+val sent_data : recording -> int list
+(** Data tags, in first-send order. *)
+
+val happened_before : recording -> Repro_clock.Causality.t
+(** Over all sequenced PDUs, built from real send/acceptance events: what
+    the oracle checks delivery orders against. *)
+
 type t
 
 val create : config -> t
@@ -89,9 +124,6 @@ val deliveries : t -> entity:int -> (Repro_sim.Simtime.t * Repro_pdu.Pdu.data) l
 val delivery_keys : t -> entity:int -> (int * int) list
 (** [(src, seq)] of each delivery, in delivery order. *)
 
-val send_time : t -> key:int * int -> Repro_sim.Simtime.t option
-(** When the logical PDU [key] was first broadcast. *)
-
 val delivery_latencies : t -> float list
 (** Tap samples: (delivery − send) in milliseconds, across all entities and
     all delivered data PDUs. *)
@@ -126,18 +158,12 @@ val sync_metrics : t -> unit
 
 val trace : t -> Repro_sim.Trace.t
 
-val data_keys : t -> (int * int) list
-(** [(src, seq)] of every application-data PDU broadcast so far, in
+val data_tags : t -> int list
+(** {!tag_of_key} tags of every application-data PDU broadcast so far, in
     first-send order. *)
 
-val data_tags : t -> int list
-(** Same as {!data_keys} but tag-encoded (order unspecified). *)
-
-val causality : t -> Repro_clock.Causality.t
-(** Ground-truth happened-before relation over all sequenced PDUs of the
-    run, built from real send/acceptance events (message ids are
-    {!tag_of_key} tags). This is what the oracle checks delivery orders
-    against. *)
+val recorded : t -> recording
+(** Slots are entity ids, tags {!tag_of_key}. *)
 
 val tag_of_key : src:int -> seq:int -> int
 (** Stable encoding of a logical PDU identity used as the trace tag. *)

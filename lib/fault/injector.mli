@@ -28,13 +28,14 @@
     only flip the injector's down flag (the medium stops carrying copies
     to or from a dead NIC) — actually crashing the entity is the caller's
     job (the scenario runner, [Repro_scenario.Runner], pairs each with
-    {!Repro_core.Cluster.crash}/[restart] for CO). [Join]/[Leave] mean the same
-    to the medium: the node is up or down. Membership changes themselves
-    are the churn runner's job ({!Chaos.run_churn} intercepts them).
+    {!Repro_core.Cluster.crash}/[restart] for CO, or with the membership
+    group's crash/revive). [Join]/[Leave] mean the same to the medium: the
+    node is up or down. Membership changes themselves are the group's job
+    (the runner hands them to it instead when CO runs on a group).
 
     The verdict stream is seeded with {!create}'s [seed] as given; a
-    caller whose seed also feeds another stream may salt it first
-    ({!Chaos.run_churn} does). *)
+    caller whose seed also feeds another stream may salt it first (the
+    runner does on the group). *)
 
 type t
 

@@ -86,14 +86,6 @@ let pp_action ppf = function
   | Join e -> Format.fprintf ppf "join %d" e
   | Leave e -> Format.fprintf ppf "leave %d" e
 
-let pp ppf t =
-  Format.fprintf ppf "@[<v>plan %s: %s@," t.name t.description;
-  List.iter
-    (fun { at; action } ->
-      Format.fprintf ppf "  %a  %a@," Simtime.pp at pp_action action)
-    t.events;
-  Format.fprintf ppf "  %a  (horizon)@]" Simtime.pp t.horizon
-
 let ms = Simtime.of_ms
 
 (* Built-in plans target n = 4 and a workload submitted over the first
@@ -197,10 +189,10 @@ let all =
     mayhem;
   ]
 
-(* Churn plans target the membership runner (Chaos.run_churn): a group
-   medium of 5 endpoints whose epoch-0 members are every node the plan
-   does not script a Join for (the runner derives this), so a scripted
-   joiner starts outside the group and bootstraps in mid-run. *)
+(* Churn plans run on the membership group: 5 endpoints whose epoch-0
+   members are every node whose first churn event is not a Join (the
+   scenario derives this), so a scripted joiner starts outside the group
+   and bootstraps in mid-run. *)
 
 let churn_join_leave =
   {
@@ -247,11 +239,14 @@ let churn_mayhem =
 let churn_all = [ churn_join_leave; churn_evict; churn_mayhem ]
 
 let churning t =
+  let restarted e = function { action = Restart r; _ } -> r = e | _ -> false in
   List.exists
     (fun { action; _ } ->
-      match action with Join _ | Leave _ -> true | _ -> false)
+      match action with
+      | Join _ | Leave _ -> true
+      | Crash e -> not (List.exists (restarted e) t.events)
+      | _ -> false)
     t.events
 
 let names = List.map (fun p -> p.name) all
-let churn_names = List.map (fun p -> p.name) churn_all
 let find name = List.find_opt (fun p -> p.name = name) (all @ churn_all)

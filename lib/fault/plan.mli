@@ -11,8 +11,8 @@
     fixed-membership plan runs as a scenario
     ([Repro_scenario.Scenario.of_plan]) on the scenario runner, which
     drains the cluster to twice the horizon and then renders the CO
-    verdict over the observers that are up; a churn plan runs on the
-    membership group ({!Chaos.run_churn}). *)
+    verdict over the observers that are up; a {!churning} plan runs the
+    same way, with CO hosted on the membership group. *)
 
 type action =
   | Crash of int  (** Crash-stop an entity (checkpointing to stable storage). *)
@@ -32,11 +32,10 @@ type action =
   | Unstall of int  (** Restore normal service time. *)
   | Join of int
       (** Membership churn. To the medium ({!Injector.apply}) the node
-          comes up; the churn runner {!Chaos.run_churn} instead has it
-          propose to join the group, bootstrapped by checkpoint state
-          transfer. *)
+          comes up; on the membership group it proposes to join,
+          bootstrapped by checkpoint state transfer. *)
   | Leave of int
-      (** To the medium the node goes silent; under {!Chaos.run_churn}
+      (** To the medium the node goes silent; on the membership group
           the member proposes a voluntary leave. *)
 
 type event = { at : Repro_sim.Simtime.t; action : action }
@@ -58,7 +57,6 @@ val validate : n:int -> t -> unit
     horizon. *)
 
 val pp_action : Format.formatter -> action -> unit
-val pp : Format.formatter -> t -> unit
 
 (** {2 Built-in plans} — all designed for an [n = 4] cluster. *)
 
@@ -87,9 +85,8 @@ val all : t list
 (** The fixed-membership plans above — everything
     [Repro_scenario.Scenario.of_plan] accepts. *)
 
-(** {2 Churn plans} — for the membership runner ({!Chaos.run_churn}):
-    a 5-endpoint group whose epoch-0 members are 0-3, node 4 in reserve
-    as the joiner. *)
+(** {2 Churn plans} — for the membership group: 5 endpoints, node 4 in
+    reserve as the joiner where a plan scripts a join. *)
 
 val churn_join_leave : t
 (** Node 4 joins mid-run, node 1 later leaves voluntarily. *)
@@ -101,11 +98,12 @@ val churn_mayhem : t
 (** Join, voluntary leave and a crash-driven eviction under loss. *)
 
 val churn_all : t list
-val churn_names : string list
 
 val churning : t -> bool
-(** Does the plan script any [Join]/[Leave]? Such plans only make sense
-    against a dynamic-membership group. *)
+(** Does the plan change the membership: script a [Join]/[Leave], or
+    crash-stop a node it never restarts (a departure only eviction
+    repairs)? Such plans only make sense against a dynamic-membership
+    group. *)
 
 val names : string list
 val find : string -> t option

@@ -36,7 +36,11 @@ let run ?(max_events = 20_000_000) ?registry ?on_cluster ~config ~workload ()
   Workload.apply cluster workload;
   Cluster.run cluster ~max_events;
   Cluster.sync_metrics cluster;
-  let oracle = Oracle.check_cluster cluster ~expected_tags:(Cluster.data_tags cluster) in
+  let oracle =
+    Oracle.check_recording (Cluster.recorded cluster)
+      ~entities:(List.init (Cluster.size cluster) Fun.id)
+      ~expected_tags:(Cluster.data_tags cluster)
+  in
   let outcome =
     {
       n = Cluster.size cluster;

@@ -122,22 +122,17 @@ let check_deliveries ~expected_tags ~precedes ~key_of ~deliveries =
     causal = causality_violations ~precedes ~deliveries;
   }
 
-let check_cluster ?entities cluster ~expected_tags =
-  let entities =
-    match entities with
-    | Some es -> es
-    | None -> List.init (Cluster.size cluster) Fun.id
-  in
+let check_recording recording ~entities ~expected_tags =
   let deliveries =
     Array.of_list
       (List.map
-         (fun entity ->
+         (fun slot ->
            List.map
-             (fun (src, seq) -> Cluster.tag_of_key ~src ~seq)
-             (Cluster.delivery_keys cluster ~entity))
+             (fun (_, tag, _) -> tag)
+             (Cluster.recorded_deliveries recording ~slot))
          entities)
   in
-  let causality = Cluster.causality cluster in
+  let causality = Cluster.happened_before recording in
   let precedes p q =
     try Causality.msg_precedes causality p q with Not_found -> false
   in

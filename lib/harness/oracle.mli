@@ -68,12 +68,12 @@ val check_deliveries :
 (** Pure report over externally supplied delivery sequences and precedence —
     usable on replayed traces as well as live clusters. *)
 
-val check_cluster :
-  ?entities:int list -> Repro_core.Cluster.t -> expected_tags:int list -> report
-(** {!check_deliveries} over the deliveries of [entities] (default: every
-    entity; the report's entity numbers are positions in the list)
-    against the ground-truth relation of
-    {!Repro_core.Cluster.causality}. *)
+val check_recording :
+  Repro_core.Cluster.recording -> entities:int list -> expected_tags:int list
+  -> report
+(** {!check_deliveries} over the recorded deliveries at the slots
+    [entities] (report entity numbers are positions in the list) against
+    the recording's ground-truth relation. *)
 
 val ok : report -> bool
 val pp_report : Format.formatter -> report -> unit

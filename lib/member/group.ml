@@ -1,9 +1,11 @@
 module Config = Repro_core.Config
 module Entity = Repro_core.Entity
+module Cluster = Repro_core.Cluster
 module Engine = Repro_sim.Engine
 module Network = Repro_sim.Network
 module Simtime = Repro_sim.Simtime
 module Topology = Repro_sim.Topology
+module Trace = Repro_sim.Trace
 module Registry = Repro_obs.Registry
 module Pdu = Repro_pdu.Pdu
 module Codec = Repro_pdu.Codec
@@ -120,7 +122,6 @@ type node = {
   mutable proposals : Memberwire.change list;  (* queued behind the barrier *)
   mutable transfer : transfer option;  (* sponsor duty toward a joiner *)
   mutable last_commit : Memberwire.t option;  (* replayed to stragglers *)
-  mutable deliveries : (int * Pdu.data) list;  (* (epoch, pdu), newest first *)
 }
 
 type t = {
@@ -128,6 +129,7 @@ type t = {
   engine : Engine.t;
   net : packet Network.t;
   nodes : node array;
+  recording : Cluster.recording;  (* slots are gids *)
   last_heard : Simtime.t array;  (* by gid; group-wide liveness evidence *)
   mutable latest : View.t;
   mutable view_changes : int;
@@ -202,6 +204,10 @@ let base_cid t = t.config.protocol.Config.cid
 (* ------------------------------------------------------------------ *)
 (* Entity installation                                                 *)
 
+let tag_source t tag =
+  let stream = fst (Cluster.key_of_tag tag) in
+  (stream / t.config.max_nodes, stream mod t.config.max_nodes)
+
 let wire_actions t nd ~view =
   let gen = nd.generation in
   let gid = nd.gid in
@@ -215,8 +221,7 @@ let wire_actions t nd ~view =
         ignore
           (Network.unicast t.net ~src:gid ~dst:dgid
              (Proto (proto_roundtrip t pdu))));
-    deliver =
-      (fun d -> nd.deliveries <- (view.View.epoch, d) :: nd.deliveries);
+    deliver = ignore;
     now = (fun () -> Engine.now t.engine);
     set_timer =
       (fun ~delay f ->
@@ -227,21 +232,30 @@ let wire_actions t nd ~view =
 
 let install t nd ~view ~rank ~via =
   nd.generation <- nd.generation + 1;
-  let actions = wire_actions t nd ~view in
-  let config = epoch_config t.config.protocol ~epoch:view.View.epoch in
+  let epoch = view.View.epoch in
+  let config = epoch_config t.config.protocol ~epoch in
+  (* PDU tags name (epoch, source gid, seq): sequence numbers restart for
+     a rejoiner and are reused above a cut, never within one epoch. *)
+  let tag ~src ~seq =
+    let node = View.node view ~rank:src in
+    Cluster.tag_of_key ~src:((epoch * t.config.max_nodes) + node) ~seq
+  in
   let e =
-    match via with
-    | `Create -> Entity.create ~config ~id:rank ~n:(View.size view) ~actions
-    | `Restore blob -> (
-      match
-        Entity.restore ~expect_id:rank ~expect_n:(View.size view) ~config
-          ~actions blob
-      with
-      | Ok e -> e
-      | Error err ->
-        failwith
-          (Format.asprintf "Group: node %d rejected epoch-%d bootstrap: %a"
-             nd.gid view.View.epoch Entity.pp_restore_error err))
+    Cluster.record t.recording ~slot:nd.gid ~self:rank ~tag
+      (wire_actions t nd ~view)
+      (fun actions ->
+        match via with
+        | `Create -> Entity.create ~config ~id:rank ~n:(View.size view) ~actions
+        | `Restore blob -> (
+          match
+            Entity.restore ~expect_id:rank ~expect_n:(View.size view) ~config
+              ~actions blob
+          with
+          | Ok e -> e
+          | Error err ->
+            failwith
+              (Format.asprintf "Group: node %d rejected epoch-%d bootstrap: %a"
+                 nd.gid epoch Entity.pp_restore_error err)))
   in
   nd.entity <- Some e;
   nd.view <- Some view;
@@ -771,7 +785,6 @@ let create config ~initial =
           proposals = [];
           transfer = None;
           last_commit = None;
-          deliveries = [];
         })
   in
   let t =
@@ -780,6 +793,8 @@ let create config ~initial =
       engine;
       net;
       nodes;
+      recording =
+        Cluster.recording ~slots:config.max_nodes engine (Network.trace net);
       last_heard = Array.make config.max_nodes Simtime.zero;
       latest = view;
       view_changes = 0;
@@ -804,7 +819,6 @@ let create config ~initial =
 
 let engine t = t.engine
 let network t = t.net
-let view t = t.latest
 let epoch t = t.latest.View.epoch
 let members t = Array.copy t.latest.View.members
 let is_member t g = View.mem t.latest g
@@ -856,6 +870,9 @@ let propose t ~origin change =
 let crash t ~node =
   check_gid t node ~who:"Group.crash";
   let nd = t.nodes.(node) in
+  if not nd.down then
+    Trace.record (Network.trace t.net)
+      (Trace.Crashed { time = Engine.now t.engine; entity = node });
   nd.down <- true;
   nd.generation <- nd.generation + 1
 
@@ -864,6 +881,8 @@ let revive t ~node =
   let nd = t.nodes.(node) in
   if nd.down then begin
     nd.down <- false;
+    Trace.record (Network.trace t.net)
+      (Trace.Restarted { time = Engine.now t.engine; entity = node });
     (* Volatile state is gone: rank, clocks and logs belong to an epoch
        that moved on without us. Come back through the front door. *)
     drop_membership t nd;
@@ -965,13 +984,11 @@ let settle ?(limit = Simtime.of_ms 10_000) t =
 
 let deliveries t ~node =
   check_gid t node ~who:"Group.deliveries";
-  List.rev t.nodes.(node).deliveries
+  List.map
+    (fun (_, tag, d) -> (fst (tag_source t tag), d))
+    (Cluster.recorded_deliveries t.recording ~slot:node)
 
-let epoch_deliveries t ~node ~epoch =
-  List.filter_map
-    (fun (e, d) -> if e = epoch then Some d else None)
-    (deliveries t ~node)
-
+let recorded t = t.recording
 let view_changes t = t.view_changes
 let state_transfer_bytes t = t.state_transfer_bytes
 let stale_epoch_drops t = t.stale_epoch

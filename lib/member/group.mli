@@ -150,10 +150,9 @@ val create : config -> initial:int array -> t
 val engine : t -> Repro_sim.Engine.t
 val network : t -> packet Repro_sim.Network.t
 
-val view : t -> View.t
-(** The highest-epoch view any node has installed. *)
-
 val epoch : t -> int
+(** The highest epoch any node has installed. *)
+
 val members : t -> int array
 val is_member : t -> int -> bool
 
@@ -202,20 +201,23 @@ val run : ?until:Repro_sim.Simtime.t -> ?max_events:int -> t -> unit
 (** Drive the engine ({!Repro_sim.Engine.run}). *)
 
 val settle : ?limit:Repro_sim.Simtime.t -> t -> bool
-(** Run until {!settled} or until [limit] (default 10s) of virtual time
+(** Run until no barrier, quiesce or state transfer is in progress
+    anywhere and every member entity is drained (nothing buffered,
+    undelivered or queued), or until [limit] (default 10s) of virtual time
     passes without reaching it; [false] also when the event queue drains
     with work still outstanding (a liveness bug). *)
-
-val settled : t -> bool
-(** No barrier, quiesce, or state transfer in progress anywhere, and every
-    member entity fully drained (nothing buffered, undelivered or
-    queued). *)
 
 val deliveries : t -> node:int -> (int * Repro_pdu.Pdu.data) list
 (** Everything [node]'s application delivered, oldest first, each tagged
     with the epoch whose entity delivered it. *)
 
-val epoch_deliveries : t -> node:int -> epoch:int -> Repro_pdu.Pdu.data list
+val recorded : t -> Repro_core.Cluster.recording
+(** What the entities did ({!Repro_core.Cluster.record}), into the
+    medium's trace with {!crash}/{!revive} events: slots are node ids. *)
+
+val tag_source : t -> int -> int * int
+(** [(epoch, source node)] of a recorded tag; its
+    {!Repro_core.Cluster.key_of_tag} source is one per (epoch, node). *)
 
 (** {2 Counters} (mirrored to the registry when one is configured) *)
 

@@ -476,9 +476,9 @@ let rec get_deltas rd running ~prev_idx k =
 (* One batch item, its ACK vector copied once out of [running]. The
    record is built here rather than through [Pdu.data], which would scan
    the vector a second time: [Stale_base] has already checked every
-   component, cid and buf are varints and so never negative, and the
-   remaining [Pdu.data] checks follow in its order and with its
-   messages. *)
+   component's lower bound, cid and buf are varints and so never
+   negative, and the remaining [Pdu.data] checks, the v1 bounds
+   included, follow in its order and with its messages. *)
 let get_item rd ~cid running =
   let src = get_uv rd in
   let seq = get_uv rd in
@@ -494,9 +494,17 @@ let get_item rd ~cid running =
     if running.(i) < 1 then raise (Err Stale_base)
   done;
   let payload = r_payload rd ~len:(get_uv rd) in
-  if n = 0 then raise (Err (Invalid "Pdu.data: empty ack vector"));
-  if src >= n then raise (Err (Invalid "Pdu.data: src out of range"));
-  if seq < 1 then raise (Err (Invalid "Pdu.data: seq must be >= 1"));
+  let invalid msg = raise (Err (Invalid ("Pdu.data: " ^ msg))) in
+  if n = 0 then invalid "empty ack vector";
+  if n >= 1 lsl 16 then invalid "ack vector too long";
+  if cid >= Pdu.word_bound then invalid "cid exceeds 31 bits";
+  if src >= n then invalid "src out of range";
+  if buf >= Pdu.word_bound then invalid "buf exceeds 31 bits";
+  for i = 0 to n - 1 do
+    if running.(i) >= Pdu.word_bound then invalid "ack exceeds 31 bits"
+  done;
+  if seq < 1 then invalid "seq must be >= 1";
+  if seq >= Pdu.word_bound then invalid "seq exceeds 31 bits";
   Pdu.Data { cid; src; seq; ack = Array.copy running; buf; payload }
 
 let[@tail_mod_cons] rec get_items rd ~cid running k =

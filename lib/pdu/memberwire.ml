@@ -31,8 +31,6 @@ let pp_error ppf = function
 
 let magic = 0xB4
 
-let is_member_frame b = Bytes.length b > 0 && Char.code (Bytes.get b 0) = magic
-
 (* Unsigned LEB128 varints; every encoded quantity is >= 0. *)
 let buf_varint buf v =
   if v < 0 then invalid_arg "Memberwire: negative field";

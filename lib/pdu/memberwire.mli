@@ -11,8 +11,8 @@
     Frames share the wire with data PDUs: the leading magic byte 0xB4 is
     disjoint from the v1 kind bytes (0/1/2) and the v2/v2-traced version
     bytes (0xB2/0xB3), so every existing decoder rejects a membership
-    frame cleanly ([Bad_kind]/[Bad_version]) and {!is_member_frame} lets a
-    membership-aware ingress dispatch before touching {!Codec}. Layout is
+    frame cleanly ([Bad_kind]/[Bad_version]), and a membership-aware
+    ingress can dispatch on that byte before touching {!Codec}. Layout is
     LEB128 varints with an FNV-1a trailer, like the v2 data format. *)
 
 (** A proposed membership change, by global node id. *)
@@ -73,9 +73,6 @@ type error =
   | Invalid of string  (** Structurally valid but violates invariants. *)
 
 val pp_error : Format.formatter -> error -> unit
-
-val is_member_frame : bytes -> bool
-(** The leading-byte test an ingress path dispatches on. *)
 
 val encode : t -> bytes
 val decode : bytes -> (t, error) result

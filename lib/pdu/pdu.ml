@@ -20,17 +20,33 @@ type ctl = { cid : int; src : int; ack : int array; buf : int }
 
 type t = Data of data | Ret of ret | Ctl of ctl
 
+(* Every field must fit the v1 layout, which truncates rather than
+   refuses: integers in 31 bits, the vector length (so src and lsrc) in
+   16. *)
+let word_bound = 0x8000_0000
+
+let check_word ~name field v =
+  if v >= word_bound then invalid_arg (name ^ ": " ^ field ^ " exceeds 31 bits")
+
 let check_common ~name ~cid ~src ~ack ~buf =
   let n = Array.length ack in
   if n = 0 then invalid_arg (name ^ ": empty ack vector");
+  if n >= 1 lsl 16 then invalid_arg (name ^ ": ack vector too long");
   if cid < 0 then invalid_arg (name ^ ": negative cid");
+  check_word ~name "cid" cid;
   if src < 0 || src >= n then invalid_arg (name ^ ": src out of range");
   if buf < 0 then invalid_arg (name ^ ": negative buf");
-  Array.iter (fun a -> if a < 1 then invalid_arg (name ^ ": ack below 1")) ack
+  check_word ~name "buf" buf;
+  Array.iter
+    (fun a ->
+      if a < 1 then invalid_arg (name ^ ": ack below 1")
+      else if a >= word_bound then invalid_arg (name ^ ": ack exceeds 31 bits"))
+    ack
 
 let data ~cid ~src ~seq ~ack ~buf ~payload =
   check_common ~name:"Pdu.data" ~cid ~src ~ack ~buf;
   if seq < 1 then invalid_arg "Pdu.data: seq must be >= 1";
+  check_word ~name:"Pdu.data" "seq" seq;
   Data { cid; src; seq; ack = Array.copy ack; buf; payload }
 
 let ret ~cid ~src ~lsrc ~lseq ~ack ~buf =
@@ -38,6 +54,7 @@ let ret ~cid ~src ~lsrc ~lseq ~ack ~buf =
   let n = Array.length ack in
   if lsrc < 0 || lsrc >= n then invalid_arg "Pdu.ret: lsrc out of range";
   if lseq < 1 then invalid_arg "Pdu.ret: lseq must be >= 1";
+  check_word ~name:"Pdu.ret" "lseq" lseq;
   Ret { cid; src; lsrc; lseq; ack = Array.copy ack; buf }
 
 let ctl ~cid ~src ~ack ~buf =

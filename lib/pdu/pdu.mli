@@ -41,11 +41,15 @@ type ctl = { cid : int; src : int; ack : int array; buf : int }
 
 type t = Data of data | Ret of ret | Ctl of ctl
 
+val word_bound : int  (** 2^31, the v1 layout's integer bound. *)
+
 val data :
   cid:int -> src:int -> seq:int -> ack:int array -> buf:int -> payload:string
   -> t
 (** Smart constructor; validates [seq >= 1], [src] within the ack vector,
-    and non-negative fields. @raise Invalid_argument otherwise. *)
+    and non-negative fields below {!word_bound}, with fewer than 2^16 ACK
+    components (as [ret] and [ctl] do). @raise Invalid_argument
+    otherwise. *)
 
 val ret :
   cid:int -> src:int -> lsrc:int -> lseq:int -> ack:int array -> buf:int -> t

@@ -7,6 +7,8 @@ module Watchdog = Repro_fault.Watchdog
 module Cluster = Repro_core.Cluster
 module Config = Repro_core.Config
 module Entity = Repro_core.Entity
+module Group = Repro_member.Group
+module Memberwire = Repro_pdu.Memberwire
 module Workload = Repro_harness.Workload
 module Oracle = Repro_harness.Oracle
 module Pac = Repro_harness.Pac
@@ -29,9 +31,22 @@ let protocol_of_name = function
 
 let all_protocols = [ Co; Cbcast; Tobcast ]
 
+type membership = {
+  final_epoch : int;
+  members : int list;
+  view_changes : int;
+  evictions : int;
+  state_transfer_bytes : int;
+  repair_pdus : int;
+  stale_epoch_drops : int;
+  refused : int;
+  epoch_isolated : bool;
+}
+
 type co = {
   live : int list;
   report : Oracle.report;
+  unsent : int;
   delivery_orders : (int * int) list array;
   converged : bool;
   quiescent : bool;
@@ -41,6 +56,7 @@ type co = {
   recoveries : int;
   delay_attribution : Critpath.summary option;
   spans_abandoned : int;
+  membership : membership option;
 }
 
 type result = {
@@ -59,9 +75,9 @@ let ok r =
   match r.co with
   | None -> true
   | Some c ->
-    c.live <> [] && Oracle.ok c.report
-    && c.report.Oracle.expected >= r.submitted
+    r.submitted > 0 && c.live <> [] && Oracle.ok c.report && c.unsent <= 0
     && c.converged && c.quiescent && c.lint_issues = []
+    && Option.fold ~none:true ~some:(fun m -> m.epoch_isolated) c.membership
 
 (* Drain window: past the horizon every fault is healed; one extra horizon
    of virtual time lets RET / go-back-N recovery finish. *)
@@ -95,34 +111,19 @@ let finish ~compiled ~protocol ~co ~causal_ok ~stalled ~sent ~events ~inj
   }
 
 (* One fault interpreter for every protocol: a seeded injector on the
-   medium's fault and service hooks replays the compiled plan. Nodes that
-   only join later start down, as if they had left. [render] turns the
-   injector's verdict into copies of this protocol's payload. Given a CO
-   [cluster], [Crash]/[Restart] also crash-stop and restore the entity;
-   the baselines see them as silence only. *)
-let arm ?cluster ~engine ~(compiled : Scenario.compiled) ~seed ~wire ~render
-    net =
+   medium's fault and service hooks replays the compiled plan, [apply]
+   carrying out each action; nodes that only join later start as if they
+   had left. [render] turns the injector's verdict into copies of this
+   protocol's payload. *)
+let arm ~engine ~(compiled : Scenario.compiled) ~seed ~wire ~render ~apply net
+    =
   let inj =
     Injector.create ~wire ~n:compiled.Scenario.scenario.Scenario.n ~seed ()
   in
-  List.iter
-    (fun e -> Injector.apply inj (Plan.Leave e))
-    compiled.Scenario.initially_down;
-  let apply action =
-    match (cluster, action) with
-    | Some c, Plan.Crash e ->
-      if not (Cluster.is_down c e) then Cluster.crash c ~id:e;
-      Injector.apply inj action
-    | Some c, Plan.Restart e ->
-      (* Lift the medium fault first: the restarted entity's recovery CTL
-         must reach its peers. *)
-      Injector.apply inj action;
-      if Cluster.is_down c e then Cluster.restart c ~id:e
-    | _ -> Injector.apply inj action
-  in
+  List.iter (fun e -> apply inj (Plan.Leave e)) compiled.Scenario.initially_down;
   List.iter
     (fun { Plan.at; action } ->
-      Engine.schedule engine ~at (fun () -> apply action))
+      Engine.schedule engine ~at (fun () -> apply inj action))
     compiled.Scenario.plan.Plan.events;
   Network.set_fault_hook net (render inj);
   Network.set_service_hook net (Injector.service_delay inj);
@@ -130,8 +131,9 @@ let arm ?cluster ~engine ~(compiled : Scenario.compiled) ~seed ~wire ~render
 
 (* Schedule the workload, skipping sources that are down at fire time; the
    skip schedule is identical across protocols because the injector
-   replays the same plan. Returns the fired-submission table (tag -> send
-   instant), newest first. *)
+   replays the same plan. [broadcast] says whether the protocol took the
+   submission. Returns the taken-submission table (tag -> send instant),
+   newest first. *)
 let schedule_workload ~engine ~inj ~(compiled : Scenario.compiled) ~broadcast =
   let sent = ref [] in
   let next_tag = ref 0 in
@@ -140,8 +142,8 @@ let schedule_workload ~engine ~inj ~(compiled : Scenario.compiled) ~broadcast =
       Engine.schedule engine ~at (fun () ->
           if not (Injector.is_down inj src) then begin
             incr next_tag;
-            sent := (!next_tag, at) :: !sent;
-            broadcast ~src ~tag:!next_tag payload
+            if broadcast ~src ~tag:!next_tag payload then
+              sent := (!next_tag, at) :: !sent
           end))
     compiled.Scenario.workload;
   sent
@@ -155,18 +157,51 @@ let backoff_samples reg =
       | _ -> acc)
     0 (Registry.samples reg)
 
-let delivered_set cluster e =
-  List.sort_uniq Int.compare
-    (List.map
-       (fun (src, seq) -> Cluster.tag_of_key ~src ~seq)
-       (Cluster.delivery_keys cluster ~entity:e))
+let delivered_tags recording e =
+  List.map (fun (_, tag, _) -> tag) (Cluster.recorded_deliveries recording ~slot:e)
+
+(* The oracle over [live] observers owed [expected_tags], their delivery
+   orders and the trace lint; each CO host sets the rest. *)
+let co_details recording ~n ~trace ~live ~expected_tags ~unsent =
+  let report = Oracle.check_recording recording ~entities:live ~expected_tags in
+  let order e = List.map Cluster.key_of_tag (delivered_tags recording e) in
+  {
+    live;
+    report;
+    unsent;
+    delivery_orders = Array.of_list (List.map order live);
+    converged = false;
+    quiescent = false;
+    lint_issues = Trace_lint.lint_trace ~n trace;
+    ret_retries = 0;
+    backoff_samples = 0;
+    recoveries = 0;
+    delay_attribution = None;
+    spans_abandoned = 0;
+    membership = None;
+  }
+
+let finish_co ~compiled ~engine ~inj ~sent recording co =
+  let latency (at, tag, _) =
+    Option.map
+      (fun t0 -> Simtime.to_ms Simtime.(at - t0))
+      (Cluster.first_send recording tag)
+  in
+  let latencies_ms =
+    List.concat_map
+      (fun e -> List.filter_map latency (Cluster.recorded_deliveries recording ~slot:e))
+      compiled.Scenario.observers
+  in
+  let { Oracle.dups; fifo; causal; _ } = co.report in
+  finish ~compiled ~protocol:Co ~co:(Some co)
+    ~causal_ok:(dups = [] && fifo = [] && causal = [])
+    ~stalled:0 ~sent ~events:(Engine.processed engine) ~inj ~latencies_ms
 
 let run_co ~max_events ~wire ~tracing ~registry
     ~(compiled : Scenario.compiled) ~seed =
   let sc = compiled.Scenario.scenario in
-  let n = sc.Scenario.n in
   let reg = match registry with Some r -> r | None -> Registry.create () in
-  let base = Cluster.default_config ~n in
+  let base = Cluster.default_config ~n:sc.Scenario.n in
   let protocol = { base.Cluster.protocol with Config.wire; tracing } in
   let cfg =
     {
@@ -179,14 +214,28 @@ let run_co ~max_events ~wire ~tracing ~registry
   in
   let cluster = Cluster.create cfg in
   let engine = Cluster.engine cluster in
-  (* CO's copies are rendered through the codec. *)
+  (* CO's copies are rendered through the codec; [Crash]/[Restart] also
+     crash-stop and restore the entity. *)
+  let apply inj action =
+    match action with
+    | Plan.Crash e ->
+      if not (Cluster.is_down cluster e) then Cluster.crash cluster ~id:e;
+      Injector.apply inj action
+    | Plan.Restart e ->
+      (* Lift the medium fault first: the restarted entity's recovery CTL
+         must reach its peers. *)
+      Injector.apply inj action;
+      if Cluster.is_down cluster e then Cluster.restart cluster ~id:e
+    | _ -> Injector.apply inj action
+  in
   let inj =
-    arm ~cluster ~engine ~compiled ~seed ~wire ~render:Injector.on_pdu
+    arm ~engine ~compiled ~seed ~wire ~render:Injector.on_pdu ~apply
       (Cluster.network cluster)
   in
   let sent =
     schedule_workload ~engine ~inj ~compiled ~broadcast:(fun ~src ~tag:_ p ->
-        Cluster.submit cluster ~src p)
+        Cluster.submit cluster ~src p;
+        true)
   in
   (* [registry] may be shared across runs: count this run's samples only. *)
   let backoff_before = backoff_samples reg in
@@ -197,36 +246,14 @@ let run_co ~max_events ~wire ~tracing ~registry
   in
   Engine.run engine ~until:(drain_until compiled) ~max_events;
   Cluster.sync_metrics cluster;
-  let observers = compiled.Scenario.observers in
-  let latencies_ms =
-    List.concat_map
-      (fun e ->
-        let stamps = List.map fst (Cluster.deliveries cluster ~entity:e) in
-        let keys = Cluster.delivery_keys cluster ~entity:e in
-        List.filter_map
-          (fun (at, (src, seq)) ->
-            match Cluster.send_time cluster ~key:(src, seq) with
-            | Some sent -> Some (Simtime.to_ms Simtime.(at - sent))
-            | None -> None)
-          (List.combine stamps keys))
-      observers
-  in
+  let recording = Cluster.recorded cluster in
   (* The verdict covers the observers that are up at the end. *)
-  let live = List.filter (fun e -> not (Cluster.is_down cluster e)) observers in
-  let report =
-    Oracle.check_cluster cluster ~entities:live
-      ~expected_tags:(Cluster.data_tags cluster)
+  let live =
+    List.filter
+      (fun e -> not (Cluster.is_down cluster e))
+      compiled.Scenario.observers
   in
-  let converged =
-    match live with
-    | [] -> false
-    | first :: rest ->
-      let reference = delivered_set cluster first in
-      List.for_all (fun e -> delivered_set cluster e = reference) rest
-  in
-  let quiescent =
-    List.for_all (fun e -> Entity.backlog (Cluster.entity cluster e) = 0) live
-  in
+  let delivered e = List.sort_uniq Int.compare (delivered_tags recording e) in
   let recorder = Cluster.recorder cluster in
   let delay_attribution =
     match recorder with
@@ -237,16 +264,22 @@ let run_co ~max_events ~wire ~tracing ~registry
       Some (Critpath.of_recorder r)
     | Some _ | None -> None
   in
+  let sent_data = Cluster.sent_data recording in
   let co =
+    co_details recording ~n:sc.Scenario.n ~trace:(Cluster.trace cluster) ~live
+      ~expected_tags:sent_data
+      ~unsent:(List.length !sent - List.length sent_data)
+  in
+  finish_co ~compiled ~engine ~inj ~sent recording
     {
-      live;
-      report;
-      delivery_orders =
-        Array.of_list
-          (List.map (fun e -> Cluster.delivery_keys cluster ~entity:e) live);
-      converged;
-      quiescent;
-      lint_issues = Trace_lint.lint_trace ~n (Cluster.trace cluster);
+      co with
+      converged =
+        (match live with
+        | [] -> false
+        | first :: rest ->
+          List.for_all (fun e -> delivered e = delivered first) rest);
+      quiescent =
+        List.for_all (fun e -> Entity.backlog (Cluster.entity cluster e) = 0) live;
       ret_retries = (Cluster.aggregate_metrics cluster).ret_retries;
       backoff_samples = backoff_samples reg - backoff_before;
       recoveries = Watchdog.recoveries dog;
@@ -254,12 +287,140 @@ let run_co ~max_events ~wire ~tracing ~registry
       spans_abandoned =
         (match recorder with None -> 0 | Some r -> Trace_ctx.abandoned r);
     }
+
+(* A churning plan's CO run is hosted on the membership group: [Join]/
+   [Leave] become proposals (a non-member's leave is a no-op),
+   [Crash]/[Restart] crash and revive the node as well as its NIC, and
+   everything else goes to the injector. *)
+let run_group ~max_events ~wire ~registry ~(compiled : Scenario.compiled)
+    ~seed =
+  let sc = compiled.Scenario.scenario in
+  let n = sc.Scenario.n in
+  let nodes = List.init n Fun.id in
+  let base = Group.default_config ~max_nodes:n in
+  let cfg =
+    {
+      base with
+      Group.topology = compiled.Scenario.topology;
+      protocol = { base.Group.protocol with Config.wire };
+      seed;
+      registry = Some (Option.value registry ~default:(Registry.create ()));
+    }
   in
-  let causal_ok =
-    report.Oracle.dups = [] && report.Oracle.fifo = [] && report.Oracle.causal = []
+  let joins e = List.mem e compiled.Scenario.initially_down in
+  let initial = Array.of_list (List.filter (Fun.negate joins) nodes) in
+  let g = Group.create cfg ~initial in
+  let engine = Group.engine g in
+  let render inj ~dst ~src = function
+    | Group.Proto p ->
+      List.map (fun q -> Group.Proto q) (Injector.on_pdu inj ~dst ~src p)
+    | Group.Control _ as pkt -> Injector.on_frame inj ~dst ~src pkt
   in
-  finish ~compiled ~protocol:Co ~co:(Some co) ~causal_ok ~stalled:0 ~sent
-    ~events:(Engine.processed engine) ~inj ~latencies_ms
+  let apply inj action =
+    match action with
+    | Plan.Crash node ->
+      Injector.apply inj action;
+      Group.crash g ~node
+    | Plan.Restart node ->
+      Injector.apply inj action;
+      Group.revive g ~node
+    | Plan.Join e -> Group.propose g ~origin:e (Memberwire.Join e)
+    | Plan.Leave e ->
+      if Group.is_member g e then Group.propose g ~origin:e (Memberwire.Leave e)
+    | _ -> Injector.apply inj action
+  in
+  (* The injector's stream is salted away from the seed the group's own
+     medium draws from. *)
+  let inj =
+    arm ~engine ~compiled ~seed:(seed lxor 0xfa017) ~wire ~render ~apply
+      (Group.network g)
+  in
+  let crashed =
+    List.filter_map
+      (function { Plan.action = Plan.Crash e; _ } -> Some e | _ -> None)
+      compiled.Scenario.plan.Plan.events
+  in
+  let survivor e = not (List.mem e crashed) in
+  (* Payloads carry the submitter's epoch, so a delivery in another epoch
+     shows in the payload alone. *)
+  let refused = ref 0 and kept = ref 0 in
+  let sent =
+    schedule_workload ~engine ~inj ~compiled ~broadcast:(fun ~src ~tag:_ p ->
+        let e = Group.entity g ~node:src in
+        let epoch = Option.fold ~none:0 ~some:Entity.epoch e in
+        let taken = Group.submit g ~node:src (Printf.sprintf "e%d.%s" epoch p) in
+        if not taken then incr refused else if survivor src then incr kept;
+        taken)
+  in
+  Group.install_suspicion g ~period:(Simtime.of_ms 10) ~departure_threshold:3
+    ~until:sc.Scenario.horizon ();
+  Engine.run engine ~until:(drain_until compiled) ~max_events;
+  let settled = Group.settle g in
+  let recording = Group.recorded g in
+  let live =
+    List.filter
+      (fun e -> Group.is_member g e && not (Injector.is_down inj e))
+      compiled.Scenario.observers
+  in
+  (* Owed at every live observer: what never-crashed sources sent, and
+     whatever of a crashed source's the barriers carried to any of them. *)
+  let survivors_sent =
+    List.filter
+      (fun tag -> survivor (snd (Group.tag_source g tag)))
+      (Cluster.sent_data recording)
+  in
+  let expected_tags =
+    List.sort_uniq Int.compare
+      (survivors_sent @ List.concat_map (delivered_tags recording) live)
+  in
+  (* Per-epoch agreement: the never-crashed nodes that delivered in an
+     epoch all delivered the same set in it. *)
+  let delivered_in epoch e =
+    List.sort Int.compare
+      (List.filter
+         (fun tag -> fst (Group.tag_source g tag) = epoch)
+         (delivered_tags recording e))
+  in
+  let agree epoch =
+    let sets = List.map (delivered_in epoch) (List.filter survivor nodes) in
+    match List.filter (( <> ) []) sets with
+    | [] -> true
+    | set :: rest -> List.for_all (( = ) set) rest
+  in
+  (* Epoch isolation: a node's delivery epochs never go down, and each
+     payload carries the epoch it is delivered in. *)
+  let isolated node =
+    let ds = Group.deliveries g ~node in
+    let epochs = List.map fst ds in
+    List.sort Int.compare epochs = epochs
+    && List.for_all
+         (fun (epoch, (d : Repro_pdu.Pdu.data)) ->
+           String.starts_with ~prefix:(Printf.sprintf "e%d." epoch) d.payload)
+         ds
+  in
+  let co =
+    co_details recording ~n ~trace:(Network.trace (Group.network g)) ~live
+      ~expected_tags ~unsent:(!kept - List.length survivors_sent)
+  in
+  finish_co ~compiled ~engine ~inj ~sent recording
+    {
+      co with
+      converged = List.for_all agree (List.init (Group.epoch g + 1) Fun.id);
+      quiescent = settled;
+      membership =
+        Some
+          {
+            final_epoch = Group.epoch g;
+            members = Array.to_list (Group.members g);
+            view_changes = Group.view_changes g;
+            evictions = Group.evictions g;
+            state_transfer_bytes = Group.state_transfer_bytes g;
+            repair_pdus = Group.repair_pdus g;
+            stale_epoch_drops = Group.stale_epoch_drops g;
+            refused = !refused;
+            epoch_isolated = List.for_all isolated nodes;
+          };
+    }
 
 (* Baselines share the medium setup bench/main.ml uses for the E4/E5
    comparisons: generous inboxes and a flat 100µs service time, so the
@@ -298,8 +459,15 @@ let run_baseline ~max_events ~wire ~(compiled : Scenario.compiled) ~seed
   let broadcast, deliveries, stalled =
     start engine net ~n:compiled.Scenario.scenario.Scenario.n
   in
-  let inj = arm ~engine ~compiled ~seed ~wire ~render:Injector.on_frame net in
-  let sent = schedule_workload ~engine ~inj ~compiled ~broadcast in
+  let inj =
+    arm ~engine ~compiled ~seed ~wire ~render:Injector.on_frame
+      ~apply:Injector.apply net
+  in
+  let sent =
+    schedule_workload ~engine ~inj ~compiled ~broadcast:(fun ~src ~tag p ->
+        broadcast ~src ~tag p;
+        true)
+  in
   Engine.run engine ~until:(drain_until compiled) ~max_events;
   let observers = compiled.Scenario.observers in
   let latencies_ms = baseline_latencies ~sent ~observers ~deliveries in
@@ -313,6 +481,8 @@ let run ?(max_events = 5_000_000) ?(wire = Config.default.Config.wire)
     ?(tracing = Config.default.Config.tracing) ?registry ~compiled ~seed
     protocol =
   match protocol with
+  | Co when Plan.churning compiled.Scenario.plan ->
+    run_group ~max_events ~wire ~registry ~compiled ~seed
   | Co -> run_co ~max_events ~wire ~tracing ~registry ~compiled ~seed
   | Cbcast ->
     run_baseline ~max_events ~wire ~compiled ~seed ~protocol
@@ -361,8 +531,18 @@ let pp ppf r =
     List.iter
       (fun issue -> Format.fprintf ppf "  lint: %a@," Trace_lint.pp_issue issue)
       co.lint_issues;
-    Format.fprintf ppf "  ret retries=%d backoff samples=%d watchdog kicks=%d"
-      co.ret_retries co.backoff_samples co.recoveries;
+    (match co.membership with
+    | None ->
+      Format.fprintf ppf "  ret retries=%d backoff samples=%d watchdog kicks=%d"
+        co.ret_retries co.backoff_samples co.recoveries
+    | Some m ->
+      Format.fprintf ppf
+        "  final view: epoch %d, members %a@,  view changes=%d evictions=%d \
+         transfer bytes=%d repair pdus=%d stale drops=%d@,  workload: %d \
+         accepted, %d fenced or refused; epoch_isolated=%b"
+        m.final_epoch pp_ints m.members m.view_changes m.evictions
+        m.state_transfer_bytes m.repair_pdus m.stale_epoch_drops r.submitted
+        m.refused m.epoch_isolated);
     match co.delay_attribution with
     | None -> ()
     | Some s ->

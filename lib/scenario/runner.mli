@@ -6,18 +6,25 @@
     plan (the same interpreter for every protocol: CO renders corruption
     through its codec, the baselines see a corrupted copy as a drop; for
     CO, [Crash]/[Restart] also crash-stop and restore the entity from its
-    checkpoint, while the baselines see them as silence), schedule the
-    workload (skipping submissions whose source is down at fire time —
-    identically across protocols, since the down-schedule is the same),
-    drive the engine to twice the scenario horizon, and fold every
-    observer's deliveries into a {!Repro_harness.Pac} curve.
+    checkpoint, while the baselines see them as silence, as they do
+    [Join]/[Leave]), schedule the workload (skipping submissions whose
+    source is down at fire time — identically across protocols, since the
+    down-schedule is the same), drive the engine to twice the scenario
+    horizon, and fold every observer's deliveries into a
+    {!Repro_harness.Pac} curve.
 
-    CO runs are always instrumented (into [registry]) and watched by a
-    {!Repro_fault.Watchdog} armed up to the horizon, and they carry the
-    {!co} details behind {!ok}: the exact service-property oracle over
-    the observers that are up at the end, convergence, quiescence and the
+    CO runs are always instrumented (into [registry]) and carry the {!co}
+    details behind {!ok}: the exact service-property oracle over the
+    observers that are up at the end, convergence, quiescence and the
     trace lint. Fault plans ({!Scenario.of_plan}) and named scenarios
-    ({!Scenario.compile}) take this same path. *)
+    ({!Scenario.compile}) take this same path. CO runs on a
+    {!Repro_core.Cluster} watched by a {!Repro_fault.Watchdog} up to the
+    horizon, or, under a {!Repro_fault.Plan.churning} plan, on a
+    {!Repro_member.Group} without the initially-down nodes: [Join]/[Leave]
+    become proposals, [Crash]/[Restart] crash and revive the node,
+    suspicion (10ms period, 3 misses) evicts up to the horizon, and the
+    run ends with {!Repro_member.Group.settle}. There [submitted] counts
+    the submissions the group accepted. *)
 
 type protocol = Co | Cbcast | Tobcast
 
@@ -25,11 +32,30 @@ val protocol_name : protocol -> string
 val protocol_of_name : string -> protocol option
 val all_protocols : protocol list
 
+(** What a CO run on the membership group adds. There {!co}'s [live]
+    observers are members, [report] owes what never-crashed sources sent
+    plus any crashed source's PDU a live observer got, [converged] is
+    per-epoch agreement among never-crashed nodes, [quiescent] is
+    {!Repro_member.Group.settle}, [unsent] counts never-crashed sources,
+    and the watchdog and span fields stay 0. *)
+type membership = {
+  final_epoch : int;
+  members : int list;  (** The final view. *)
+  view_changes : int;
+  evictions : int;
+  state_transfer_bytes : int;
+  repair_pdus : int;
+  stale_epoch_drops : int;
+  refused : int;  (** Submissions fenced by a barrier or from non-members. *)
+  epoch_isolated : bool;  (** Delivery epochs never go down nor cross. *)
+}
+
 type co = {
   live : int list;  (** Observers up at the end of the run, ascending. *)
   report : Repro_harness.Oracle.report;
       (** Service-property report over [live] (report entity numbers are
           positions in [live]); its [expected] is the data PDUs sent. *)
+  unsent : int;  (** Taken submissions never sent as a data PDU. *)
   delivery_orders : (int * int) list array;
       (** Per live observer (positions follow [live]): the exact
           (src, seq) delivery order — the observational trace the
@@ -51,6 +77,7 @@ type co = {
           count; spans never stitch across an entity's incarnations. *)
   spans_abandoned : int;
       (** Receipt-ladder spans cut short by entity crashes. *)
+  membership : membership option;  (** Present iff CO ran on a group. *)
 }
 
 type result = {
@@ -64,7 +91,8 @@ type result = {
   stalled : int;  (** CBCAST only: messages parked forever. *)
   submitted : int;
       (** Workload submissions fired: entries whose source was up at fire
-          time. Equal across protocols for one compiled scenario. *)
+          time (CO on a group: those it accepted). Equal across protocols
+          for one compiled fixed-membership scenario. *)
   events : int;  (** Engine events executed. *)
   latencies_ms : float list;
       (** Raw (delivery − send) samples over the observers, kept so the
@@ -73,11 +101,11 @@ type result = {
 }
 
 val ok : result -> bool
-(** The CO verdict: some observer is up at the end, the oracle is clean
-    over the live observers (every sent PDU delivered exactly once, FIFO
-    and causal order kept), no fewer data PDUs were sent than submitted,
-    the live observers converged, the cluster is quiescent and the trace
-    lint is clean. Baselines carry no verdict: [true]. *)
+(** The CO verdict: something was submitted, some observer is live at the
+    end, the oracle is clean over the live observers (every owed PDU
+    delivered exactly once, FIFO and causal order kept), nothing went
+    unsent, the run converged and is quiescent, the trace lint is clean
+    and epochs stayed isolated. Baselines carry no verdict: [true]. *)
 
 val run :
   ?max_events:int ->
@@ -95,8 +123,9 @@ val run :
     injector frame with, and two runs differing only in [wire] must be
     observationally identical; [tracing] (default
     [Config.default.tracing]) turns on span recording and fills
-    [delay_attribution] without changing the run; [registry] receives the
-    run's telemetry (a private one when omitted). *)
+    [delay_attribution] without changing the run (not on a group);
+    [registry] receives the run's telemetry (a private one when
+    omitted). *)
 
 val pp : Format.formatter -> result -> unit
 (** One line of counts, then for CO the verdict and what it rests on. *)

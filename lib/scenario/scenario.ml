@@ -166,6 +166,28 @@ let loss_events ~name ~rng = function
         ~loss_bad ~step ~stop
 
 (* ---------------------------------------------------------------- *)
+(* Membership: who observes, who starts outside the group.           *)
+
+(* A node starts outside the group iff its first churn event is a Join;
+   the observers are the nodes that never churn. *)
+let membership ~name ~n (plan : Plan.t) =
+  let first e =
+    List.find_map
+      (function
+        | { Plan.action = (Plan.Join x | Plan.Leave x) as a; _ } when x = e ->
+          Some a
+        | _ -> None)
+      plan.Plan.events
+  in
+  let nodes = List.init n Fun.id in
+  let observers = List.filter (fun e -> Option.is_none (first e)) nodes in
+  if observers = [] then fail name "every entity churns; no observers left";
+  ( observers,
+    List.filter
+      (fun e -> match first e with Some (Plan.Join _) -> true | _ -> false)
+      nodes )
+
+(* ---------------------------------------------------------------- *)
 (* Compile.                                                          *)
 
 let compile ~seed t =
@@ -257,21 +279,7 @@ let compile ~seed t =
     }
   in
   Plan.validate ~n:t.n plan;
-  let churned =
-    List.sort_uniq Int.compare (List.map (fun c -> c.node) t.churn)
-  in
-  let observers =
-    List.filter (fun e -> not (List.mem e churned)) (List.init t.n Fun.id)
-  in
-  if observers = [] then fail t.name "every entity churns; no observers left";
-  let initially_down =
-    List.filter
-      (fun node ->
-        match List.find_opt (fun c -> c.node = node) sorted_churn with
-        | Some { kind = `Join; _ } -> true
-        | _ -> false)
-      churned
-  in
+  let observers, initially_down = membership ~name:t.name ~n:t.n plan in
   { scenario = t; topology; workload; plan; observers; initially_down }
 
 (* ---------------------------------------------------------------- *)
@@ -279,19 +287,23 @@ let compile ~seed t =
 
 let of_plan ~n ~per_entity (plan : Plan.t) =
   Plan.validate ~n plan;
-  if Plan.churning plan then
-    fail plan.Plan.name
-      "scripts membership churn; run it on the group (Chaos.run_churn)";
+  let observers, initially_down = membership ~name:plan.Plan.name ~n plan in
   let delay = Simtime.of_ms 1 in
-  (* Deterministic spread over the first ~50ms, staggered per entity so no
-     two submissions share an instant. *)
+  (* Submissions staggered per entity so no two share an instant: every
+     8ms under a fixed plan, spread over the first 60% of the horizon
+     under a churning one, so traffic overlaps its membership changes. *)
+  let span =
+    if Plan.churning plan then plan.Plan.horizon * 3 / 5
+    else Simtime.of_ms (8 * per_entity)
+  in
   let workload =
     List.concat
       (List.init per_entity (fun k ->
            List.init n (fun src ->
                {
                  Workload.at =
-                   Simtime.(of_ms 2 + of_ms (8 * k) + of_us ((137 * src) + 11));
+                   Simtime.(
+                     of_ms 2 + (span * k / per_entity) + of_us ((137 * src) + 11));
                  src;
                  payload = Printf.sprintf "m%d.%d" src k;
                })))
@@ -302,7 +314,7 @@ let of_plan ~n ~per_entity (plan : Plan.t) =
         name = plan.Plan.name;
         description = plan.Plan.description;
         n;
-        workload = Continuous { per_entity; interval = Simtime.of_ms 8 };
+        workload = Continuous { per_entity; interval = span / per_entity };
         delays = Uniform_delay delay;
         loss = No_loss;
         partitions = [];
@@ -312,8 +324,8 @@ let of_plan ~n ~per_entity (plan : Plan.t) =
     topology = Topology.uniform ~n ~delay;
     workload;
     plan;
-    observers = List.init n Fun.id;
-    initially_down = [];
+    observers;
+    initially_down;
   }
 
 (* ---------------------------------------------------------------- *)
@@ -434,6 +446,18 @@ let churn_wave =
     horizon = ms 160;
   }
 
-let builtins = [ burst_storm; wan_hotspot; flaky_wan; zipf_spray; churn_wave ]
+let isolate_wave =
+  {
+    churn_wave with
+    name = "isolate_wave";
+    description =
+      "churn_wave without membership: node 3 is cut off by a partition \
+       while the others keep their diurnal load.";
+    partitions = [ (ms 40, [ [ 0; 1; 2; 4 ]; [ 3 ] ], ms 110) ];
+    churn = [];
+  }
+
+let builtins =
+  [ burst_storm; wan_hotspot; flaky_wan; zipf_spray; churn_wave; isolate_wave ]
 let names = List.map (fun s -> s.name) builtins
 let find name = List.find_opt (fun s -> s.name = name) builtins

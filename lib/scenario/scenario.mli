@@ -4,9 +4,10 @@
     partition windows and a churn schedule; {!compile} turns the
     declaration plus a seed into concrete artifacts — a
     {!Repro_sim.Topology.t}, a {!Repro_harness.Workload} schedule and a
-    {!Repro_fault.Plan.t} — so the exact same scenario drives the CO
-    cluster and every baseline ({!Runner}), under the deterministic sim or
-    a [Udp_cluster] harness. Equal [(scenario, seed)] pairs compile to
+    {!Repro_fault.Plan.t} — so the exact same scenario drives CO (on a
+    cluster, or on the membership group when it churns) and every
+    baseline ({!Runner}), under the deterministic sim or a [Udp_cluster]
+    harness. Equal [(scenario, seed)] pairs compile to
     identical artifacts, which is what lets the PAC curve gate demand
     byte-identical outputs across runs. *)
 
@@ -64,9 +65,10 @@ type loss_shape =
           state transitions. *)
 
 type churn_event = { at : Simtime.t; node : int; kind : [ `Join | `Leave ] }
-(** A node with a [`Join] first event starts the run down (outside the
-    group) and comes up at [at]; [`Leave] silences it. Node 0 must never
-    churn (it is the tobcast sequencer and the stable observer anchor). *)
+(** A node with a [`Join] first event starts the run outside the group
+    and joins at [at]; [`Leave] takes it out (to the baselines: medium
+    silence). Node 0 must never churn (it is the tobcast sequencer and
+    the stable observer anchor). *)
 
 type t = {
   name : string;
@@ -90,8 +92,8 @@ type compiled = {
   workload : Repro_harness.Workload.entry list;
   plan : Repro_fault.Plan.t;  (** Valid per {!Repro_fault.Plan.validate}. *)
   observers : int list;
-      (** Entities up for the whole run (never churned) — the PAC
-          obligation set is [messages × observers]. *)
+      (** Entities that never [Join]/[Leave] — the PAC obligation set is
+          [messages × observers]. *)
   initially_down : int list;  (** Nodes whose first churn event is a join. *)
 }
 
@@ -102,16 +104,18 @@ val compile : seed:int -> t -> compiled
     horizon — everything {!Repro_fault.Plan.validate} would reject). *)
 
 val of_plan : n:int -> per_entity:int -> Repro_fault.Plan.t -> compiled
-(** A fixed-membership fault plan (e.g. one of {!Repro_fault.Plan.all}) as
-    a compiled scenario: [n] entities on a uniform 1ms LAN, every entity an
-    observer, the plan replayed verbatim, and [per_entity] submissions per
-    entity, the k-th of entity [src] at [2ms + 8ms·k + (137·src + 11)µs].
-    The [scenario] record carries the plan's name, description and
-    horizon; its fault fields stay empty (the plan is given, not compiled)
-    and its workload shape is the nominal [Continuous] 8ms cadence.
+(** A fault plan (e.g. one of {!Repro_fault.Plan.all} or [churn_all]) as
+    a compiled scenario: [n] entities on a uniform 1ms LAN, the plan
+    replayed verbatim, observers and initially-down nodes derived as
+    {!compile} does, and [per_entity] submissions per entity, the k-th of
+    entity [src] at [2ms + span·k/per_entity + (137·src + 11)µs]; [span]
+    is [8ms·per_entity], or 60% of the horizon for a
+    {!Repro_fault.Plan.churning} plan. The [scenario] record carries the
+    plan's name, description and horizon; its fault fields stay empty
+    (the plan is given, not compiled) and its workload shape is the
+    nominal [Continuous] cadence [span/per_entity].
     @raise Invalid_argument if the plan fails {!Repro_fault.Plan.validate}
-    against [n] or scripts [Join]/[Leave] churn (that runs on the
-    membership group, {!Repro_fault.Chaos.run_churn}). *)
+    against [n] or every entity churns. *)
 
 (** {2 Named scenarios} *)
 
@@ -131,6 +135,9 @@ val zipf_spray : t
 
 val churn_wave : t
 (** n=5 diurnal load; node 3 leaves mid-run and rejoins later. *)
+
+val isolate_wave : t
+(** [churn_wave] with node 3 partitioned off (40–110ms) instead of churned. *)
 
 val builtins : t list
 val names : string list

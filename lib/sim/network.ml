@@ -178,7 +178,6 @@ let available_buffer t id = Repro_util.Ring_buffer.available t.endpoints.(id).in
 let set_fault_hook t f = t.fault_hook <- Some f
 let clear_fault_hook t = t.fault_hook <- None
 let set_service_hook t f = t.service_hook <- Some f
-let clear_service_hook t = t.service_hook <- None
 
 let transmissions t = t.sent_copies
 let losses t = t.lost_copies

@@ -80,8 +80,6 @@ val set_service_hook : 'a t -> (dst:int -> Simtime.t -> Simtime.t) -> unit
     [f ~dst d] instead. Used by the chaos layer to model slow-entity
     stalls. Replaces any previous hook. *)
 
-val clear_service_hook : 'a t -> unit
-
 val transmissions : 'a t -> int
 (** Total copies put on the medium so far (n per broadcast). *)
 

@@ -39,14 +39,19 @@ let run_simple () =
 
 let test_send_time_recorded () =
   let c = run_simple () in
-  (match Cluster.send_time c ~key:(0, 1) with
+  let send_time (src, seq) =
+    Cluster.first_send (Cluster.recorded c) (Cluster.tag_of_key ~src ~seq)
+  in
+  (match send_time (0, 1) with
   | Some t -> check int_t "first send at t=0" 0 t
   | None -> Alcotest.fail "missing send time");
-  check bool_t "unknown key" true (Cluster.send_time c ~key:(9, 9) = None)
+  check bool_t "unknown key" true (send_time (9, 9) = None)
 
 let test_data_keys_in_send_order () =
   let c = run_simple () in
-  let keys = Cluster.data_keys c in
+  let keys =
+    List.map Cluster.key_of_tag (Cluster.sent_data (Cluster.recorded c))
+  in
   check
     (Alcotest.list (Alcotest.pair int_t int_t))
     "both data PDUs, send order"
@@ -85,12 +90,15 @@ let test_causality_ground_truth () =
   (* Submitted well after the first has propagated: causally dependent. *)
   Cluster.submit_at c ~at:(Simtime.of_ms 30) ~src:1 "second";
   Cluster.run c ~max_events:500_000;
-  let causality = Cluster.causality c in
+  let causality = Cluster.happened_before (Cluster.recorded c) in
   let t1 = Cluster.tag_of_key ~src:0 ~seq:1 in
   (* Entity 1's first data PDU may not be seq 1 (confirmations consume
-     seqs); find it from data_keys. *)
-  let k2 = List.find (fun (src, _) -> src = 1) (Cluster.data_keys c) in
-  let t2 = Cluster.tag_of_key ~src:(fst k2) ~seq:(snd k2) in
+     seqs); find it among the data PDUs sent. *)
+  let t2 =
+    List.find
+      (fun tag -> fst (Cluster.key_of_tag tag) = 1)
+      (Cluster.data_tags c)
+  in
   check bool_t "ground truth sees dependency" true
     (Repro_clock.Causality.msg_precedes causality t1 t2)
 

@@ -9,7 +9,6 @@ module Trace = Repro_sim.Trace
 module Trace_lint = Repro_check.Trace_lint
 module Plan = Repro_fault.Plan
 module Injector = Repro_fault.Injector
-module Chaos = Repro_fault.Chaos
 module Scenario = Repro_scenario.Scenario
 module Runner = Repro_scenario.Runner
 module Watchdog = Repro_fault.Watchdog
@@ -247,7 +246,9 @@ let test_cluster_crash_restart_converges () =
   Cluster.run ~max_events:2_000_000 cluster;
   check bool_t "entity 2 back up" false (Cluster.is_down cluster 2);
   let keys id = List.sort compare (Cluster.delivery_keys cluster ~entity:id) in
-  let expected = List.sort compare (Cluster.data_keys cluster) in
+  let expected =
+    List.sort compare (List.map Cluster.key_of_tag (Cluster.data_tags cluster))
+  in
   for id = 0 to 3 do
     check bool_t (Printf.sprintf "entity %d delivered all" id) true
       (keys id = expected)
@@ -522,41 +523,54 @@ let test_watchdog_departure_callback () =
 
 (* --- Churn plans (dynamic membership under the fault injector) --- *)
 
-let assert_churn_ok plan (o : Chaos.churn_outcome) =
-  if not o.c_ok then
-    Alcotest.fail
-      (Format.asprintf "churn plan %s failed:@.%a" plan Chaos.pp_churn_outcome
-         o)
+(* Each churn plan runs as a scenario through the one CO runner, which
+   hosts CO on the membership group. *)
+let run_on_group plan =
+  let r =
+    Runner.run ~compiled:(Scenario.of_plan ~n:5 ~per_entity:6 plan) ~seed:1
+      Runner.Co
+  in
+  if not (Runner.ok r) then
+    Alcotest.failf "churn plan %s failed:@.%a" plan.Plan.name Runner.pp r;
+  match r.Runner.co with
+  | Some { Runner.membership = Some m; _ } -> (r, m)
+  | Some _ | None -> Alcotest.fail "a churning CO run must carry its membership"
 
 let test_churn_join_leave () =
-  let o = Chaos.run_churn Plan.churn_join_leave in
-  assert_churn_ok "churn_join_leave" o;
-  check int_t "two view changes" 2 o.epochs;
+  let _, m = run_on_group Plan.churn_join_leave in
+  check int_t "two view changes" 2 m.Runner.final_epoch;
   check bool_t "joiner bootstrapped by state transfer" true
-    (o.state_transfer_bytes > 0);
-  check bool_t "joiner is a member" true (List.mem 4 o.members);
-  check bool_t "leaver is gone" true (not (List.mem 1 o.members))
+    (m.Runner.state_transfer_bytes > 0);
+  check bool_t "joiner is a member" true (List.mem 4 m.Runner.members);
+  check bool_t "leaver is gone" true (not (List.mem 1 m.Runner.members))
 
 let test_churn_evict () =
-  let o = Chaos.run_churn Plan.churn_evict in
-  assert_churn_ok "churn_evict" o;
-  check bool_t "suspicion evicted" true (o.evictions >= 1);
-  check bool_t "evictee out of the view" true (not (List.mem 3 o.members));
+  let r, m = run_on_group Plan.churn_evict in
+  check bool_t "suspicion evicted" true (m.Runner.evictions >= 1);
+  check bool_t "evictee out of the view" true
+    (not (List.mem 3 m.Runner.members));
   check bool_t "loss actually bit" true
-    ((o.c_stats : Injector.stats).loss_drops > 0)
+    (r.Runner.stats.Injector.loss_drops > 0)
 
 let test_churn_mayhem () =
-  let o = Chaos.run_churn Plan.churn_mayhem in
-  assert_churn_ok "churn_mayhem" o;
-  check bool_t "join+leave+evict all landed" true (o.epochs >= 3);
-  check bool_t "eviction" true (o.evictions >= 1);
-  check bool_t "state transfer" true (o.state_transfer_bytes > 0)
+  let _, m = run_on_group Plan.churn_mayhem in
+  check bool_t "join+leave+evict all landed" true (m.Runner.final_epoch >= 3);
+  check bool_t "eviction" true (m.Runner.evictions >= 1);
+  check bool_t "state transfer" true (m.Runner.state_transfer_bytes > 0)
 
-let test_chaos_rejects_churn_plans () =
-  Alcotest.match_raises "churn plan refused"
-    (function Invalid_argument _ -> true | _ -> false)
-    (fun () ->
-      ignore (Scenario.of_plan ~n:5 ~per_entity:6 Plan.churn_join_leave))
+(* A node starts outside the group iff its first churn event is a Join:
+   churn_join_leave's joiner does, churn_wave's leave-then-rejoin node 3
+   does not. *)
+let test_of_plan_derives_membership () =
+  let c = Scenario.of_plan ~n:5 ~per_entity:6 Plan.churn_join_leave in
+  check (Alcotest.list int_t) "joiner starts down" [ 4 ]
+    c.Scenario.initially_down;
+  check (Alcotest.list int_t) "observers never churn" [ 0; 2; 3 ]
+    c.Scenario.observers;
+  let wave = (Scenario.compile ~seed:11 Scenario.churn_wave).Scenario.plan in
+  let c = Scenario.of_plan ~n:5 ~per_entity:6 wave in
+  check bool_t "churn_wave's node 3 starts as a member" false
+    (List.mem 3 c.Scenario.initially_down)
 
 let () =
   Alcotest.run "fault"
@@ -612,8 +626,8 @@ let () =
           Alcotest.test_case "corruption" `Quick test_chaos_corruption;
           Alcotest.test_case "duplication" `Quick test_chaos_duplication;
           Alcotest.test_case "mayhem" `Quick test_chaos_mayhem;
-          Alcotest.test_case "rejects churn plans" `Quick
-            test_chaos_rejects_churn_plans;
+          Alcotest.test_case "derives churn membership" `Quick
+            test_of_plan_derives_membership;
         ] );
       ( "watchdog",
         [

@@ -14,6 +14,12 @@ module Simtime = Repro_sim.Simtime
 module Trace = Repro_sim.Trace
 module Pdu = Repro_pdu.Pdu
 
+(* The service oracle over every entity of [cluster]. *)
+let check_cluster cluster =
+  Oracle.check_recording (Cluster.recorded cluster)
+    ~entities:(List.init (Cluster.size cluster) Fun.id)
+    ~expected_tags:(Cluster.data_tags cluster)
+
 let check = Alcotest.check
 let int_t = Alcotest.int
 let bool_t = Alcotest.bool
@@ -133,7 +139,7 @@ let test_figure6_deterministic_loss () =
   Cluster.submit_at cluster ~at:(Simtime.of_ms 2) ~src:0 "p";
   Cluster.submit_at cluster ~at:(Simtime.of_ms 3) ~src:1 "other";
   Cluster.run cluster ~max_events;
-  let oracle = Oracle.check_cluster cluster ~expected_tags:(Cluster.data_tags cluster) in
+  let oracle = check_cluster cluster in
   if not (Oracle.ok oracle) then
     Alcotest.failf "oracle: %a" Oracle.pp_report oracle;
   let metrics = Cluster.aggregate_metrics cluster in
@@ -156,7 +162,7 @@ let test_figure2_causal_order () =
   Cluster.submit_at cluster ~at:Simtime.zero ~src:0 "question";
   Cluster.submit_at cluster ~at:(Simtime.of_ms 1) ~src:1 "answer";
   Cluster.run cluster ~max_events;
-  let oracle = Oracle.check_cluster cluster ~expected_tags:(Cluster.data_tags cluster) in
+  let oracle = check_cluster cluster in
   if not (Oracle.ok oracle) then
     Alcotest.failf "oracle: %a" Oracle.pp_report oracle;
   let keys = Cluster.delivery_keys cluster ~entity:2 in
@@ -195,7 +201,7 @@ let transitive_race mode =
   Cluster.submit_at cluster ~at:(Simtime.of_ms 6) ~src:2 "q";
   Cluster.submit_at cluster ~at:(Simtime.of_ms 9) ~src:3 "noise";
   Cluster.run cluster ~max_events;
-  Oracle.check_cluster cluster ~expected_tags:(Cluster.data_tags cluster)
+  check_cluster cluster
 
 let test_transitive_mode_preserves_causality () =
   let oracle = transitive_race Config.Transitive in

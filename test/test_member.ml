@@ -188,7 +188,10 @@ let submit_at g ~at ~node payload =
 let payloads l = List.map (fun (d : Pdu.data) -> d.Pdu.payload) l
 
 let epoch_payloads g ~node ~epoch =
-  payloads (Group.epoch_deliveries g ~node ~epoch)
+  payloads
+    (List.filter_map
+       (fun (e, d) -> if e = epoch then Some d else None)
+       (Group.deliveries g ~node))
 
 (* All live witnesses of [epoch] must deliver the same set of payloads in
    that epoch (the protocol totally agrees on membership of an epoch, and

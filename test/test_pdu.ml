@@ -36,6 +36,28 @@ let test_data_validation () =
   Alcotest.check_raises "ack below 1" (Invalid_argument "Pdu.data: ack below 1")
     (fun () -> ignore (mk_data ~ack:[| 1; 0; 1 |] ()))
 
+(* Every field must fit the v1 layout. The largest values are accepted;
+   one more is refused at construction instead of truncated on the wire
+   (or, under v2, written as a frame its own decoder rejects: the ACK
+   pair below). *)
+let test_v1_bounds () =
+  let edge = Pdu.word_bound - 1 and over = Pdu.word_bound in
+  ignore (mk_data ~cid:edge ~seq:edge ~buf:edge ~ack:[| edge; 1; edge |] ());
+  ignore (Pdu.ret ~cid:edge ~src:0 ~lsrc:1 ~lseq:edge ~ack:[| 1; edge |] ~buf:edge);
+  let raises what msg f = Alcotest.check_raises what (Invalid_argument msg) f in
+  raises "ack" "Pdu.data: ack exceeds 31 bits" (fun () ->
+      ignore (mk_data ~ack:[| 1; 1 + (1 lsl 61) |] ()));
+  raises "cid" "Pdu.data: cid exceeds 31 bits" (fun () ->
+      ignore (mk_data ~cid:over ()));
+  raises "seq" "Pdu.data: seq exceeds 31 bits" (fun () ->
+      ignore (mk_data ~seq:over ()));
+  raises "buf" "Pdu.ctl: buf exceeds 31 bits" (fun () ->
+      ignore (Pdu.ctl ~cid:0 ~src:0 ~ack:[| 1 |] ~buf:over));
+  raises "lseq" "Pdu.ret: lseq exceeds 31 bits" (fun () ->
+      ignore (Pdu.ret ~cid:0 ~src:0 ~lsrc:0 ~lseq:over ~ack:[| 1 |] ~buf:0));
+  raises "vector length" "Pdu.data: ack vector too long" (fun () ->
+      ignore (mk_data ~ack:(Array.make (1 lsl 16) 1) ()))
+
 let test_data_ack_copied () =
   let ack = [| 1; 1; 1 |] in
   match mk_data ~ack () with
@@ -183,6 +205,45 @@ let gen_pdu =
 
 let arb_pdu = QCheck.make ~print:Pdu.to_string gen_pdu
 
+(* PDUs whose fields sit at the bounds' edges: every field 0/1, the
+   largest admitted value or in between; up to 8 components, or the
+   longest vector v1 holds. *)
+let gen_edge_pdu =
+  let open QCheck.Gen in
+  let top = Pdu.word_bound - 1 in
+  let field lo = frequency [ (1, return lo); (2, return top); (1, int_range lo top) ] in
+  frequency [ (8, int_range 1 8); (1, return ((1 lsl 16) - 1)) ] >>= fun n ->
+  array_size (return n) (field 1) >>= fun ack ->
+  frequency [ (1, return 0); (1, return (n - 1)) ] >>= fun src ->
+  field 0 >>= fun cid ->
+  field 1 >>= fun seq ->
+  field 0 >>= fun buf ->
+  oneofl
+    [
+      Pdu.data ~cid ~src ~seq ~ack ~buf ~payload:"x";
+      Pdu.ret ~cid ~src ~lsrc:(n - 1 - src) ~lseq:seq ~ack ~buf;
+      Pdu.ctl ~cid ~src ~ack ~buf;
+    ]
+
+let prop_edges_roundtrip_both_wires =
+  QCheck.Test.make ~name:"bound-edge PDUs roundtrip under v1 and v2" ~count:300
+    (QCheck.make ~print:Pdu.to_string gen_edge_pdu) (fun pdu ->
+      let sent, frame =
+        match pdu with
+        | Pdu.Data d ->
+          (* After a batch-mate at the other extreme, so the ACK deltas
+             are as wide as the bound allows. *)
+          let low = { d with Pdu.ack = Array.map (fun _ -> 1) d.ack } in
+          ([ Pdu.Data low; pdu ], Codec.encode_data_batch_v2 [ low; d ])
+        | Pdu.Ret _ | Pdu.Ctl _ -> ([ pdu ], Codec.encode_v2 pdu)
+      in
+      roundtrip pdu
+      &&
+      match Codec.decode_v2 frame with
+      | Ok back ->
+        List.length back = List.length sent && List.for_all2 Pdu.equal sent back
+      | Error _ -> false)
+
 let prop_codec_roundtrip =
   QCheck.Test.make ~name:"codec roundtrips all PDUs" ~count:500 arb_pdu roundtrip
 
@@ -246,6 +307,7 @@ let () =
           Alcotest.test_case "data fields" `Quick test_data_fields;
           Alcotest.test_case "confirmation" `Quick test_data_confirmation;
           Alcotest.test_case "validation" `Quick test_data_validation;
+          Alcotest.test_case "v1 bounds" `Quick test_v1_bounds;
           Alcotest.test_case "ack copied" `Quick test_data_ack_copied;
           Alcotest.test_case "ret fields" `Quick test_ret_fields;
           Alcotest.test_case "ret validation" `Quick test_ret_validation;
@@ -271,6 +333,7 @@ let () =
         @ qsuite
             [
               prop_codec_roundtrip;
+              prop_edges_roundtrip_both_wires;
               prop_codec_size;
               prop_codec_truncation_total;
               prop_codec_corruption_no_raise;

@@ -19,7 +19,7 @@ let ms = Simtime.of_ms
 (* Registry / builtins                                                 *)
 
 let test_builtins_findable () =
-  check int_t "five named scenarios" 5 (List.length Scenario.builtins);
+  check int_t "six named scenarios" 6 (List.length Scenario.builtins);
   List.iter
     (fun name ->
       match Scenario.find name with
@@ -463,6 +463,18 @@ let test_plans_same_submissions_every_protocol () =
       | [] -> Alcotest.fail "no protocols")
     Plan.all
 
+(* CO runs churn_wave on the membership group: its Join/Leave commit as
+   view changes and never silence the medium. *)
+let test_churn_wave_on_group () =
+  let compiled = Scenario.compile ~seed:42 Scenario.churn_wave in
+  let r = Runner.run ~compiled ~seed:42 Runner.Co in
+  if not (Runner.ok r) then Alcotest.failf "churn_wave:@.%a" Runner.pp r;
+  (match r.Runner.co with
+  | Some { Runner.membership = Some m; _ } ->
+    check int_t "two view changes" 2 m.Runner.view_changes
+  | Some _ | None -> Alcotest.fail "CO must run churn_wave on a group");
+  check int_t "no crash drops" 0 r.Runner.stats.Repro_fault.Injector.crash_drops
+
 let test_pac_goldens () =
   List.iter
     (fun s ->
@@ -513,6 +525,8 @@ let () =
           Alcotest.test_case "full plan on every protocol" `Slow
             test_full_fault_set_every_protocol;
           Alcotest.test_case "golden PAC artifacts" `Slow test_pac_goldens;
+          Alcotest.test_case "churn_wave on the group" `Quick
+            test_churn_wave_on_group;
           Alcotest.test_case "unhealed partition fails the verdict" `Quick
             test_unhealed_partition_fails_verdict;
           Alcotest.test_case "fault plans fire alike on every protocol" `Slow

@@ -214,26 +214,30 @@ let prop_v2_garbage_no_raise =
    of those frames: structural errors in stream order, then [Trailing],
    then [Bad_checksum]. *)
 
-(* Field values of every varint length, up to 62 bits. *)
+(* Field values of every varint length a PDU admits: up to 31 bits, the
+   v1 word ([Pdu.word_bound]). *)
 let gen_field lo =
   QCheck.Gen.(
     frequency
       [
         (4, int_range lo 127);
         (3, int_range lo 100_000);
-        (2, int_range lo max_int);
+        (2, int_range lo (Pdu.word_bound - 1));
       ])
 
 let gen_wide_ack n = QCheck.Gen.(array_size (return n) (gen_field 1))
 
-(* A few components moved by small steps either way, staying >= 1. *)
+(* A few components moved by small steps either way, staying in
+   [1, Pdu.word_bound). *)
 let gen_near_ack (prev : int array) =
   let open QCheck.Gen in
   let n = Array.length prev in
   list_size (int_range 1 3) (pair (int_range 0 (n - 1)) (int_range (-3) 3))
   >|= fun bumps ->
   let ack = Array.copy prev in
-  List.iter (fun (k, d) -> ack.(k) <- max 1 (ack.(k) + d)) bumps;
+  List.iter
+    (fun (k, d) -> ack.(k) <- min (Pdu.word_bound - 1) (max 1 (ack.(k) + d)))
+    bumps;
   ack
 
 type wide = { items : Pdu.data list; ids : int64 array }
